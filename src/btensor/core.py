@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# Byte budget for the (n^(m-1), chunk) intermediate of the batched
+# contraction behind form_values/apply_many.
+_CONTRACT_BUDGET_BYTES = 16 * 2**20
+
+
 def is_diagonal_index(index: tuple[int, ...]) -> bool:
     """True iff all components of the multi-index are equal."""
     return len(set(index)) == 1
@@ -205,14 +210,22 @@ def _check_vector(T: Tensor, x) -> np.ndarray:
 
 
 def _contract(T: Tensor, X: np.ndarray, keep_first: bool) -> np.ndarray:
-    # contract the trailing axes one at a time; cheap enough per call to sit
-    # inside the oracle's descent loop
-    count = X.shape[0]
-    cur = np.broadcast_to(T.data.reshape(1, -1), (count, T.dim**T.order))
-    steps = T.order - 1 if keep_first else T.order
-    for _ in range(steps):
-        cur = (cur.reshape(count, -1, T.dim) * X[:, None, :]).sum(axis=2)
-    return cur
+    # One BLAS product contracts the last slot of every vector in a chunk;
+    # each remaining slot is a per-vector matrix-vector product on an array
+    # n times smaller.  Chunks keep the first product, n^(m-1) values per
+    # vector, within _CONTRACT_BUDGET_BYTES.
+    n = T.dim
+    A = T.data.reshape(-1, n)
+    chunk = max(1, _CONTRACT_BUDGET_BYTES // (8 * A.shape[0]))
+    slots = T.order - 2 if keep_first else T.order - 1
+    out = np.empty((X.shape[0], n if keep_first else 1))
+    for lo in range(0, X.shape[0], chunk):
+        Xc = X[lo:lo + chunk]
+        cur = Xc @ A.T
+        for _ in range(slots):
+            cur = np.matmul(cur.reshape(len(Xc), -1, n), Xc[:, :, None])[:, :, 0]
+        out[lo:lo + chunk] = cur
+    return out
 
 
 def form_value(T: Tensor, x) -> float:

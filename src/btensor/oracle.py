@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     Tensor,
@@ -154,29 +153,31 @@ def _descend(
             Xa, GT, gn = Xa[keep], GT[keep], gn[keep]
         fa = f[active]
         aa = alpha[active]
-        done = np.zeros(active.size, dtype=bool)
-        # Armijo backtracking, halving; strict decrease so a step that no
-        # longer moves the value cannot be accepted
+        pending = np.arange(active.size)  # positions in active still backtracking
+        # Armijo backtracking, halving, on the pending rows only; strict
+        # decrease so a step that no longer moves the value cannot be accepted
         for _ in range(80):
             cand = _project(Xa - aa[:, None] * GT, m, normalization)
             fc = form_values(S, cand)
-            ok = ~done & (fc < fa - _ARMIJO * aa * gn**2)
+            ok = fc < fa - _ARMIJO * aa * gn**2
             if ok.any():
-                rows = active[ok]
+                rows = active[pending[ok]]
                 X[rows] = cand[ok]
                 f[rows] = fc[ok]
                 alpha[rows] = np.minimum(1.0, 2.0 * aa[ok])
-                done |= ok
-            if done.all():
+                wait = ~ok
+                pending, Xa, GT, fa, aa, gn = (
+                    pending[wait], Xa[wait], GT[wait], fa[wait], aa[wait], gn[wait]
+                )
+                if pending.size == 0:
+                    break
+            aa = aa / 2.0
+            if aa.max() < 1e-20:
                 break
-            aa = np.where(done, aa, aa / 2.0)
-            if aa[~done].max() < 1e-20:
-                break
-        stalled = ~done
-        if stalled.any():
+        if pending.size:
             # the floating-point floor: no step of any size decreases f
-            converged[active[stalled]] = True
-            active = active[done]
+            converged[active[pending]] = True
+            active = np.delete(active, pending)
     return X, f, converged
 
 
@@ -277,6 +278,9 @@ def sphere_minimize(
 
             tk = float(theta[k])
             if g(tk) < min(g(tk - step), g(tk + step)):
+                # imported here: scipy costs most of the package's import time
+                from scipy.optimize import minimize_scalar
+
                 res = minimize_scalar(g, bracket=(tk - step, tk, tk + step), method="golden")
                 xr = _project(
                     np.array([np.cos(res.x), np.sin(res.x)]), m, normalization

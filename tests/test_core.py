@@ -1,9 +1,13 @@
+import string
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from btensor import (
     Tensor,
     apply,
+    core,
     form_value,
     form_values,
     is_diagonal_index,
@@ -188,6 +192,45 @@ class TestFormAndApply:
         batch = form_values(counterexample_tensor, X)
         for k in range(17):
             assert batch[k] == form_value(counterexample_tensor, X[k])
+
+
+def _einsum_reference(T, X):
+    """Form values and row contractions of T at every row of X, by einsum."""
+    idx = string.ascii_lowercase[: T.order]
+    vecs = [f"z{k}" for k in idx]  # z runs over the rows of X
+    values = np.einsum(f"{idx},{','.join(vecs)}->z", T.data, *[X] * T.order)
+    rows = np.einsum(f"{idx},{','.join(vecs[1:])}->z{idx[0]}", T.data, *[X] * (T.order - 1))
+    return values, rows
+
+
+class TestBatchedContraction:
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 2), (4, 3), (6, 3), (4, 8)])
+    def test_matches_einsum_across_chunks(self, monkeypatch, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        T = Tensor(m, n, rng.uniform(-1, 1, size=n**m))
+        X = rng.normal(size=(11, n))
+        # three vectors per chunk: chunks of 3, 3, 3 and a partial 2
+        monkeypatch.setattr(core, "_CONTRACT_BUDGET_BYTES", 3 * 8 * n ** (m - 1))
+        ref_values, ref_rows = _einsum_reference(T, X)
+        values = form_values(T, X)
+        rows = core.apply_many(T, X)
+        assert values.shape == (11,) and rows.shape == (11, n)
+        assert np.max(np.abs(values - ref_values)) <= 1e-12 * np.max(np.abs(ref_values))
+        assert np.max(np.abs(rows - ref_rows)) <= 1e-12 * np.max(np.abs(ref_rows))
+
+    def test_peak_memory_stays_near_budget(self):
+        # unchunked, the (1000, 32^3) product of this call would take ~8 GB
+        rng = np.random.default_rng(3)
+        T = Tensor(4, 32, rng.uniform(-1, 1, size=32**4))
+        X = rng.normal(size=(1000, 32))
+        tracemalloc.start()
+        try:
+            values = form_values(T, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (1000,)
+        assert peak <= 3 * core._CONTRACT_BUDGET_BYTES
 
 
 class TestLinearCombine:

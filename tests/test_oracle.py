@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import btensor
 from btensor import (
     Tensor,
     conjecture_search,
@@ -69,6 +75,27 @@ class TestSphereMinimize:
         a = sphere_minimize(counterexample_tensor, seed=11)
         b = sphere_minimize(counterexample_tensor, seed=11)
         assert a == b
+
+    def test_determinism_across_blas_threads(self):
+        # a fresh interpreter per BLAS thread count; the 20,000-vector
+        # batch is large enough that OpenBLAS splits its product across threads
+        script = (
+            "import hashlib, numpy as np, btensor as bt\n"
+            "rng = np.random.default_rng(6)\n"
+            "T = bt.symmetrize(bt.Tensor(4, 3, rng.uniform(-1, 1, size=81)))\n"
+            "print(repr(bt.sphere_minimize(T, starts=64, seed=13)))\n"
+            "X = rng.normal(size=(20000, 3))\n"
+            "print(hashlib.sha256(bt.form_values(T, X).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(btensor.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_scale_equivariance_dim2(self, counterexample_tensor):
         base = sphere_minimize(counterexample_tensor, seed=4)
