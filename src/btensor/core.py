@@ -10,8 +10,8 @@ numpy array.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,6 +184,16 @@ def is_symmetric(T: Tensor) -> bool:
     return True
 
 
+@lru_cache(maxsize=32)
+def _orbit_index(order: int, dim: int) -> np.ndarray:
+    """Read-only orbit rank of every flat position: the lexicographic rank of
+    its sorted multi-index, i.e. its place in ``combinations_with_replacement``."""
+    digits = np.sort(np.indices((dim,) * order).reshape(order, -1), axis=0)
+    _, rank = np.unique(np.ravel_multi_index(digits, (dim,) * order), return_inverse=True)
+    rank.setflags(write=False)
+    return rank
+
+
 def symmetrize(T: Tensor) -> Tensor:
     """Average of a tensor over all permutations of its indices.
 
@@ -193,13 +203,9 @@ def symmetrize(T: Tensor) -> Tensor:
     """
     if is_symmetric(T):
         return T
-    data = np.empty_like(T.data)
-    for canon in itertools.combinations_with_replacement(range(T.dim), T.order):
-        orbit = sorted(set(itertools.permutations(canon)))
-        val = sum(float(T.data[p]) for p in orbit) / len(orbit)
-        for p in orbit:
-            data[p] = val
-    return Tensor(T.order, T.dim, data)
+    rank = _orbit_index(T.order, T.dim)
+    mean = np.bincount(rank, weights=T.data.ravel()) / np.bincount(rank)
+    return Tensor(T.order, T.dim, mean[rank])
 
 
 def _check_vector(T: Tensor, x) -> np.ndarray:

@@ -11,13 +11,13 @@ entrywise reconstruction are re-verified along the way.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     Tensor,
+    _orbit_index,
     is_symmetric,
     linear_combine,
     partially_all_one,
@@ -122,18 +122,17 @@ class HEigenReport:
 
 
 def _find_asymmetry(T: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    for canon in itertools.combinations_with_replacement(range(T.dim), T.order):
-        ref = None
-        ref_idx = None
-        for p in sorted(set(itertools.permutations(canon))):
-            v = float(T.data[p])
-            if ref is None:
-                ref, ref_idx = v, p
-            elif v != ref:
-                one = tuple(k + 1 for k in ref_idx)
-                two = tuple(k + 1 for k in p)
-                return one, two
-    return None
+    """First position, in (orbit rank, flat index) order, whose entry differs
+    from the first entry of its orbit; returned with that first position."""
+    rank = _orbit_index(T.order, T.dim)
+    flat = T.data.ravel()
+    _, first = np.unique(rank, return_index=True)
+    bad = np.flatnonzero(flat != flat[first[rank]])
+    if bad.size == 0:
+        return None
+    k = int(bad[np.argmin(rank[bad])])
+    one, two = (np.unravel_index(i, T.shape) for i in (first[rank[k]], k))
+    return tuple(int(i) + 1 for i in one), tuple(int(i) + 1 for i in two)
 
 
 def decompose(

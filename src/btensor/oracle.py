@@ -11,13 +11,13 @@ form equals the least H-eigenvalue of an even-order symmetric tensor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     Tensor,
+    _orbit_index,
     apply_many,
     form_value,
     form_values,
@@ -187,9 +187,32 @@ def _axis_and_uniform_starts(n: int) -> np.ndarray:
     return np.vstack([eye, -eye, ones])
 
 
-def _angular_grid(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _angular_grid(n_points: int) -> np.ndarray:
     theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1), theta
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _circle_critical_points(W: Tensor, normalization: str) -> np.ndarray:
+    """Unnormalized candidates containing every critical point of the form
+    of a dim-2 tensor on the circle, with both signs.
+
+    At ``x = (t, 1)``, ``p(t) = f(t, 1)`` and Euler's identity turn the
+    Lagrange conditions ``x2*d1f - x1*d2f = 0`` (l2, ``k = 2``) and
+    ``x2^(m-1)*d1f - x1^(m-1)*d2f = 0`` (lm, ``k = m``) into
+    ``(1+t^k) p' - m t^(k-1) p = 0``.  Roots at infinity are the axis
+    points; real parts of complex roots cover split multiple roots.
+    """
+    m = W.order
+    # orbit r of a dim-2 tensor holds the positions with r indices equal to
+    # 2, whose products carry t^(m-r)
+    p = np.polynomial.Polynomial(
+        np.bincount(_orbit_index(m, 2), weights=W.data.ravel())[::-1]
+    )
+    t = np.polynomial.Polynomial([0.0, 1.0])
+    k = 2 if normalization == "l2" else m
+    roots = ((1 + t**k) * p.deriv() - m * t ** (k - 1) * p).roots().real
+    X = np.vstack([np.eye(2), np.column_stack([roots, np.ones_like(roots)])])
+    return np.vstack([X, -X])
 
 
 def _canonical_witness(x: np.ndarray) -> np.ndarray:
@@ -214,19 +237,20 @@ def sphere_minimize(
     """Minimize the m-form of ``T`` over the unit sphere.
 
     Non-symmetric inputs are symmetrized first (the form value depends only
-    on the symmetric part).  Starts are ``starts`` seeded random unit
-    vectors plus all signed axis vectors and the uniform vector; for n = 2
-    an angular grid of ``grid_points`` directions with golden-section
-    refinement around the best cell makes the search effectively
-    exhaustive.  Deterministic given ``seed``; per-start random streams are
-    split from the seed so the merge order never matters.
+    on the symmetric part).  For n = 2 the candidates are the critical
+    points on the circle in closed form, pooled with an angular grid of
+    ``grid_points`` directions as a cross-check.  For n >= 3, the only case
+    where ``starts`` and ``seed`` act, projected gradient descent runs from
+    ``starts`` seeded random unit vectors, split from ``seed``, plus all
+    signed axis vectors and the uniform vector.  Equal values go to the
+    lexicographically smallest point, so the result is deterministic.
     """
     if normalization not in ("l2", "lm"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if normalization == "lm" and T.order % 2 != 0:
         raise ValueError("the m-norm sphere requires even order")
     if starts is None:
-        starts = 32 if T.dim <= 2 else 256
+        starts = 256
     if starts < 1:
         raise ValueError("starts must be >= 1")
 
@@ -237,17 +261,14 @@ def sphere_minimize(
     scale = float(np.max(np.abs(S.data)))
     W = S if scale in (0.0, 1.0) else Tensor(m, n, S.data / scale)
 
-    sample_count = 0
-    pool_x: list[np.ndarray] = []
-    pool_f: list[float] = []
-    pool_conv: list[bool] = []
-
-    if n == 1:
-        for x in (np.array([1.0]), np.array([-1.0])):
-            pool_x.append(x)
-            pool_f.append(float(form_values(W, x[None, :])[0]))
-            pool_conv.append(True)
-        sample_count = 2
+    if n <= 2:
+        X = np.array([[1.0], [-1.0]]) if n == 1 else _circle_critical_points(W, normalization)
+        if n == 2 and grid_points >= 3:
+            X = np.vstack([X, _angular_grid(grid_points)])
+        X = _project(X, m, normalization)
+        f = form_values(W, X)
+        conv = np.ones(len(X), dtype=bool)
+        sample_count = len(X)
     else:
         ss = np.random.SeedSequence(seed)
         children = ss.spawn(starts)
@@ -255,42 +276,12 @@ def sphere_minimize(
             np.random.default_rng(child).normal(size=n) for child in children
         ])
         X0 = np.vstack([_axis_and_uniform_starts(n), rand])
-        sample_count += len(X0)
+        sample_count = len(X0)
         X, f, conv = _descend(W, X0, normalization, max_iter, grad_tol)
-        pool_x.extend(X)
-        pool_f.extend(f.tolist())
-        pool_conv.extend(conv.tolist())
 
-        if n == 2 and grid_points >= 3:
-            Xg, theta = _angular_grid(grid_points)
-            Xg = _project(Xg, m, normalization)
-            fg = form_values(W, Xg)
-            sample_count += grid_points
-            k = int(np.argmin(fg))
-            pool_x.append(Xg[k])
-            pool_f.append(float(fg[k]))
-            pool_conv.append(True)
-            step = 2.0 * np.pi / grid_points
-
-            def g(t: float) -> float:
-                v = _project(np.array([[np.cos(t), np.sin(t)]]), m, normalization)
-                return float(form_values(W, v)[0])
-
-            tk = float(theta[k])
-            if g(tk) < min(g(tk - step), g(tk + step)):
-                # imported here: scipy costs most of the package's import time
-                from scipy.optimize import minimize_scalar
-
-                res = minimize_scalar(g, bracket=(tk - step, tk, tk + step), method="golden")
-                xr = _project(
-                    np.array([np.cos(res.x), np.sin(res.x)]), m, normalization
-                )
-                pool_x.append(xr)
-                pool_f.append(float(form_values(W, xr[None, :])[0]))
-                pool_conv.append(True)
-
-    best = min(range(len(pool_f)), key=lambda k: (pool_f[k], tuple(pool_x[k])))
-    x_best = _project(pool_x[best], m, normalization)
+    ties = np.flatnonzero(f == f.min())
+    best = ties[np.lexsort(X[ties].T[::-1])[0]]
+    x_best = _project(X[best], m, normalization)
     min_value = form_value(S, x_best)
     witness = _canonical_witness(x_best)
     witness_value = form_value(S, witness)
@@ -306,7 +297,7 @@ def sphere_minimize(
         normalization=normalization,
         lambda_min_estimate=lam,
         samples=sample_count,
-        converged=bool(pool_conv[best]),
+        converged=bool(conv[best]),
         witness=tuple(float(v) for v in witness),
         witness_value=witness_value,
     )
@@ -320,7 +311,8 @@ def lambda_min_estimate(
 ) -> float:
     """Least form value over the m-norm sphere: for an even-order symmetric
     tensor this is the variational value of the least H-eigenvalue, and the
-    sampled minimum upper-bounds it."""
+    sampled minimum upper-bounds it.  ``starts`` and ``seed`` act only at
+    n >= 3; see :func:`sphere_minimize`."""
     if T.order % 2 != 0:
         raise ValueError("the H-eigenvalue variational identity requires even order")
     if not is_symmetric(T):
@@ -339,14 +331,12 @@ _GRID_DENOM = 1024  # dyadic value grid keeps all classifier arithmetic exact
 
 def _symmetric_offdiag(rng: np.random.Generator, order: int, dim: int) -> np.ndarray:
     """Symmetric array with dyadic off-diagonal values in [-1, 1], zero diagonal."""
-    data = np.zeros((dim,) * order)
-    for canon in itertools.combinations_with_replacement(range(dim), order):
-        if len(set(canon)) == 1:
-            continue
-        value = rng.integers(-_GRID_DENOM, _GRID_DENOM + 1) / _GRID_DENOM
-        for p in set(itertools.permutations(canon)):
-            data[p] = value
-    return data
+    rank = _orbit_index(order, dim)
+    offdiag = np.bincount(rank) > 1  # only the diagonal orbits are singletons
+    values = np.zeros(offdiag.size)
+    # one draw per off-diagonal orbit, in lexicographic orbit order
+    values[offdiag] = rng.integers(-_GRID_DENOM, _GRID_DENOM + 1, size=offdiag.sum()) / _GRID_DENOM
+    return values[rank].reshape((dim,) * order)
 
 
 def _boundary_tie_sample(rng: np.random.Generator, order: int, dim: int) -> Tensor:
@@ -364,11 +354,8 @@ def _anchored_row_sample(rng: np.random.Generator, order: int, dim: int) -> Tens
     data = _symmetric_offdiag(rng, order, dim)
     special = int(rng.integers(dim))
     c = rng.integers(0, _GRID_DENOM + 1) / _GRID_DENOM
-    for canon in itertools.combinations_with_replacement(range(dim), order):
-        if special in canon and len(set(canon)) > 1:
-            for p in set(itertools.permutations(canon)):
-                data[p] = c
-    data[(special,) * order] = c
+    # every position holding the special index, its diagonal included
+    data[(np.indices(data.shape) == special).any(axis=0)] = c
     stats = all_row_stats(Tensor(order, dim, data))
     for i0, st in enumerate(stats):
         if i0 == special:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import btensor
 from btensor import Tensor, make_tensor, unit_tensor
 from btensor.cli import main
 from btensor.io import TensorFormatError, load_tensor, save_tensor, tensor_to_doc
@@ -269,6 +274,21 @@ class TestSearchCommand:
         with pytest.raises(SystemExit) as exc:
             main(["search-b0", "--order", "4", "--dim", "2", "--trials", "5", "--tol", "0"])
         assert exc.value.code == 2
+
+    def test_search_runs_without_scipy(self):
+        # a fresh interpreter, so modules imported by other tests do not count
+        script = (
+            "import sys, contextlib, io\n"
+            "from btensor.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['search-b0', '--order', '4', '--dim', '2', '--trials', '2'])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(btensor.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestReportDigest:

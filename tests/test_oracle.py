@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,98 @@ class TestSphereMinimize:
             sphere_minimize(counterexample_tensor, starts=0)
         with pytest.raises(ValueError, match="normalization"):
             sphere_minimize(counterexample_tensor, normalization="l7")
+
+
+def dense_circle_values(T, normalization, points=20_001):
+    """Form values on a dense angular grid, by einsum, independent of the oracle."""
+    theta = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    X = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    m = T.order
+    if normalization == "lm":
+        X = X / np.sum(np.abs(X) ** m, axis=1, keepdims=True) ** (1.0 / m)
+    slots = "abcdefgh"[:m]
+    spec = slots + "," + ",".join("N" + c for c in slots) + "->N"
+    return np.einsum(spec, T.data, *([X] * m))
+
+
+class TestCircleClosedForm:
+    """n = 2 solved from the roots of one polynomial; the angular grid is
+    switched off (grid_points=0) so the closed form stands alone."""
+
+    CASES = [(m, "l2") for m in (2, 3, 4, 5, 6)] + [(m, "lm") for m in (2, 4, 6)]
+
+    @staticmethod
+    def check_on_circle(T, res):
+        x = np.array(res.minimizer)
+        m = T.order
+        if res.normalization == "l2":
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert np.sum(np.abs(x) ** m) ** (1 / m) == pytest.approx(1.0, abs=1e-12)
+        assert form_value(T, x) == res.min_value
+        assert res.converged
+
+    @pytest.mark.parametrize("m,normalization", CASES)
+    def test_matches_dense_reference(self, m, normalization):
+        rng = np.random.default_rng(100 + m)
+        for k in range(8):
+            T = symmetrize(Tensor(m, 2, rng.uniform(-1, 1, size=2**m) * 10.0 ** (k % 3 - 1)))
+            scale = np.abs(T.data).max()
+            res = sphere_minimize(T, normalization=normalization, grid_points=0)
+            ref = dense_circle_values(T, normalization)
+            assert res.min_value <= ref.min() + 1e-12 * scale
+            # the reference grid is within (2*pi/20001)^2 of the true minimum
+            assert res.min_value >= ref.min() - 1e-6 * scale
+            self.check_on_circle(T, res)
+
+    @pytest.mark.parametrize("normalization", ["l2", "lm"])
+    def test_zero_tensor(self, normalization):
+        res = sphere_minimize(make_tensor(4, 2, []), normalization=normalization, grid_points=0)
+        assert res.min_value == 0.0
+        assert res.converged
+
+    def test_matrix_identity_has_no_condition_polynomial(self):
+        # x2*d1f - x1*d2f vanishes identically: every point is critical
+        from btensor.oracle import _circle_critical_points
+
+        eye = unit_tensor(2, 2)
+        assert len(_circle_critical_points(eye, "l2")) == 4  # the signed axis points
+        res = sphere_minimize(eye, grid_points=0)
+        assert res.min_value == pytest.approx(1.0, abs=1e-15)
+        self.check_on_circle(eye, res)
+
+    @pytest.mark.parametrize("normalization", ["l2", "lm"])
+    def test_minimum_on_an_axis(self, normalization):
+        # diag(-1, 2): the condition polynomial loses its leading
+        # coefficient, so the minimizer is a root at infinity
+        T = make_tensor(2, 2, [((1, 1), -1.0), ((2, 2), 2.0)])
+        res = sphere_minimize(T, normalization=normalization, grid_points=0)
+        assert res.min_value == -1.0
+        assert res.minimizer == (-1.0, 0.0)  # ties go to the smallest point
+
+    def test_odd_order_minimum_is_the_negated_maximum(self):
+        rng = np.random.default_rng(31)
+        T = symmetrize(Tensor(3, 2, rng.uniform(-1, 1, size=8)))
+        res = sphere_minimize(T, grid_points=0)
+        ref = dense_circle_values(T, "l2")
+        assert res.min_value <= ref.min() + 1e-12
+        assert form_value(T, -np.array(res.minimizer)) == -res.min_value
+        assert -res.min_value >= ref.max() - 1e-12
+        self.check_on_circle(T, res)
+
+    @pytest.mark.parametrize("normalization", ["l2", "lm"])
+    @pytest.mark.parametrize("factor", [(1.0, 0.0, -1.0), (1.0, -1.0)])
+    def test_repeated_roots(self, factor, normalization):
+        # (x1^2 - x2^2)^2 touches zero at double roots; (x1 - x2)^4 also
+        # gives the condition polynomial a triple root at t = 1
+        g = np.polynomial.Polynomial(factor[::-1])
+        coef = (g ** (4 // g.degree())).coef  # f(t, 1) in ascending powers of t
+        # a position with j indices equal to 2 carries t^(4-j), shared by comb(4, j)
+        T = Tensor(4, 2, [coef[4 - sum(p)] / math.comb(4, sum(p)) for p in np.ndindex((2,) * 4)])
+        res = sphere_minimize(T, normalization=normalization, grid_points=0)
+        assert abs(res.min_value) <= 1e-12
+        assert abs(res.minimizer[0]) == pytest.approx(abs(res.minimizer[1]), abs=1e-4)
+        self.check_on_circle(T, res)
 
 
 class TestLambdaMin:
