@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -187,9 +188,23 @@ def is_symmetric(T: Tensor) -> bool:
 @lru_cache(maxsize=32)
 def _orbit_index(order: int, dim: int) -> np.ndarray:
     """Read-only orbit rank of every flat position: the lexicographic rank of
-    its sorted multi-index, i.e. its place in ``combinations_with_replacement``."""
-    digits = np.sort(np.indices((dim,) * order).reshape(order, -1), axis=0)
-    _, rank = np.unique(np.ravel_multi_index(digits, (dim,) * order), return_inverse=True)
+    its sorted multi-index, i.e. its place in ``combinations_with_replacement``.
+
+    With ``K_u`` indices ``<= u``, the smaller sorted sequences branch off
+    at place ``K_u`` with value ``u`` (if ``K_u < m``), then run through any
+    sorted tail over ``{u, ..., n-1}``; the rank sums these counts, no sort.
+    """
+    dtype = np.int32 if comb(dim + order - 1, order) <= np.iinfo(np.int32).max else np.int64
+    count = np.zeros((dim,) * order, dtype=np.uint8)  # K_u at every position
+    rank = np.zeros(dim**order, dtype=dtype)
+    for u in range(dim - 1):
+        for axis in range(order):
+            count[(slice(None),) * axis + (u,)] += 1
+        tails = [comb(dim - u + order - k - 2, order - k - 1) for k in range(order)]
+        table = np.array(tails + [0], dtype=dtype)
+        # the lookup widens its indices to intp, so it runs slice by slice
+        for lo in range(0, rank.size, 2**16):
+            rank[lo:lo + 2**16] += table[count.reshape(-1)[lo:lo + 2**16]]
     rank.setflags(write=False)
     return rank
 

@@ -124,12 +124,18 @@ class HEigenReport:
 def _find_asymmetry(T: Tensor) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """First position, in (orbit rank, flat index) order, whose entry differs
     from the first entry of its orbit; returned with that first position."""
+    if is_symmetric(T):
+        return None
+    # an orbit's first flat position holds its sorted multi-index, so the
+    # positions with non-decreasing indices list the orbits in rank order
+    g = np.indices(T.shape, sparse=True)
+    nondecreasing = True
+    for a, b in zip(g, g[1:]):
+        nondecreasing = nondecreasing & (a <= b)
+    first = np.flatnonzero(nondecreasing)
     rank = _orbit_index(T.order, T.dim)
     flat = T.data.ravel()
-    _, first = np.unique(rank, return_index=True)
-    bad = np.flatnonzero(flat != flat[first[rank]])
-    if bad.size == 0:
-        return None
+    bad = np.flatnonzero(flat != flat[first][rank])
     k = int(bad[np.argmin(rank[bad])])
     one, two = (np.unravel_index(i, T.shape) for i in (first[rank[k]], k))
     return tuple(int(i) + 1 for i in one), tuple(int(i) + 1 for i in two)

@@ -39,7 +39,6 @@ __all__ = [
     "conjecture_search",
 ]
 
-GRID_POINTS = 100_000
 MAX_ITER = 10_000
 GRAD_TOL = 1e-10
 _ARMIJO = 1e-4
@@ -187,11 +186,6 @@ def _axis_and_uniform_starts(n: int) -> np.ndarray:
     return np.vstack([eye, -eye, ones])
 
 
-def _angular_grid(n_points: int) -> np.ndarray:
-    theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-
 def _circle_critical_points(W: Tensor, normalization: str) -> np.ndarray:
     """Unnormalized candidates containing every critical point of the form
     of a dim-2 tensor on the circle, with both signs.
@@ -205,9 +199,7 @@ def _circle_critical_points(W: Tensor, normalization: str) -> np.ndarray:
     m = W.order
     # orbit r of a dim-2 tensor holds the positions with r indices equal to
     # 2, whose products carry t^(m-r)
-    p = np.polynomial.Polynomial(
-        np.bincount(_orbit_index(m, 2), weights=W.data.ravel())[::-1]
-    )
+    p = np.polynomial.Polynomial(np.bincount(_orbit_index(m, 2), weights=W.data.ravel())[::-1])
     t = np.polynomial.Polynomial([0.0, 1.0])
     k = 2 if normalization == "l2" else m
     roots = ((1 + t**k) * p.deriv() - m * t ** (k - 1) * p).roots().real
@@ -230,7 +222,7 @@ def sphere_minimize(
     starts: int | None = None,
     seed: int = 0,
     normalization: str = "l2",
-    grid_points: int = GRID_POINTS,
+    grid_points: int | None = None,
     max_iter: int = MAX_ITER,
     grad_tol: float = GRAD_TOL,
 ) -> OracleResult:
@@ -238,12 +230,11 @@ def sphere_minimize(
 
     Non-symmetric inputs are symmetrized first (the form value depends only
     on the symmetric part).  For n = 2 the candidates are the critical
-    points on the circle in closed form, pooled with an angular grid of
-    ``grid_points`` directions as a cross-check.  For n >= 3, the only case
-    where ``starts`` and ``seed`` act, projected gradient descent runs from
-    ``starts`` seeded random unit vectors, split from ``seed``, plus all
-    signed axis vectors and the uniform vector.  Equal values go to the
-    lexicographically smallest point, so the result is deterministic.
+    points on the circle in closed form.  For n >= 3, the only case where
+    ``starts`` and ``seed`` act, projected gradient descent runs from
+    ``starts`` random unit vectors split from ``seed``, plus all signed axis
+    vectors and the uniform vector.  Ties go to the lexicographically
+    smallest point, so results are deterministic.  ``grid_points`` is unused.
     """
     if normalization not in ("l2", "lm"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -263,12 +254,9 @@ def sphere_minimize(
 
     if n <= 2:
         X = np.array([[1.0], [-1.0]]) if n == 1 else _circle_critical_points(W, normalization)
-        if n == 2 and grid_points >= 3:
-            X = np.vstack([X, _angular_grid(grid_points)])
         X = _project(X, m, normalization)
         f = form_values(W, X)
         conv = np.ones(len(X), dtype=bool)
-        sample_count = len(X)
     else:
         ss = np.random.SeedSequence(seed)
         children = ss.spawn(starts)
@@ -276,7 +264,6 @@ def sphere_minimize(
             np.random.default_rng(child).normal(size=n) for child in children
         ])
         X0 = np.vstack([_axis_and_uniform_starts(n), rand])
-        sample_count = len(X0)
         X, f, conv = _descend(W, X0, normalization, max_iter, grad_tol)
 
     ties = np.flatnonzero(f == f.min())
@@ -296,7 +283,7 @@ def sphere_minimize(
         minimizer=tuple(float(v) for v in x_best),
         normalization=normalization,
         lambda_min_estimate=lam,
-        samples=sample_count,
+        samples=len(X),
         converged=bool(conv[best]),
         witness=tuple(float(v) for v in witness),
         witness_value=witness_value,
@@ -307,19 +294,17 @@ def lambda_min_estimate(
     T: Tensor,
     starts: int | None = None,
     seed: int = 0,
-    grid_points: int = GRID_POINTS,
+    grid_points: int | None = None,
 ) -> float:
     """Least form value over the m-norm sphere: for an even-order symmetric
     tensor this is the variational value of the least H-eigenvalue, and the
     sampled minimum upper-bounds it.  ``starts`` and ``seed`` act only at
-    n >= 3; see :func:`sphere_minimize`."""
+    n >= 3, and ``grid_points`` has no effect; see :func:`sphere_minimize`."""
     if T.order % 2 != 0:
         raise ValueError("the H-eigenvalue variational identity requires even order")
     if not is_symmetric(T):
         raise ValueError("lambda_min_estimate requires a symmetric tensor")
-    result = sphere_minimize(
-        T, starts=starts, seed=seed, normalization="lm", grid_points=grid_points
-    )
+    result = sphere_minimize(T, starts=starts, seed=seed, normalization="lm")
     return result.min_value
 
 
@@ -355,7 +340,8 @@ def _anchored_row_sample(rng: np.random.Generator, order: int, dim: int) -> Tens
     special = int(rng.integers(dim))
     c = rng.integers(0, _GRID_DENOM + 1) / _GRID_DENOM
     # every position holding the special index, its diagonal included
-    data[(np.indices(data.shape) == special).any(axis=0)] = c
+    for axis in range(order):
+        data[(slice(None),) * axis + (special,)] = c
     stats = all_row_stats(Tensor(order, dim, data))
     for i0, st in enumerate(stats):
         if i0 == special:
@@ -372,7 +358,7 @@ def conjecture_search(
     seed: int,
     tolerance: float,
     starts: int | None = None,
-    grid_points: int = GRID_POINTS,
+    grid_points: int | None = None,
 ) -> SearchReport:
     """Randomized search for an even-order symmetric weak-class tensor with
     a negative form minimum.
@@ -382,6 +368,7 @@ def conjecture_search(
     the weak predicate but failing the strict one, and sphere-minimizes each
     accepted sample.  Samples with ``min_value < -tolerance`` are recorded
     with full reproduction data.  Deterministic given ``seed``.
+    ``grid_points`` has no effect and is recorded as given.
     """
     if order % 2 != 0:
         raise ValueError("conjecture_search requires an even order")
@@ -408,7 +395,6 @@ def conjecture_search(
             starts=starts,
             seed=int(rng.integers(2**31)),
             normalization="l2",
-            grid_points=grid_points,
         )
         if result.min_value < -tolerance:
             candidates.append(SearchCandidate(trial=trial, tensor=t, oracle_result=result))

@@ -134,8 +134,7 @@ def dense_circle_values(T, normalization, points=20_001):
 
 
 class TestCircleClosedForm:
-    """n = 2 solved from the roots of one polynomial; the angular grid is
-    switched off (grid_points=0) so the closed form stands alone."""
+    """n = 2 solved from the roots of one polynomial."""
 
     CASES = [(m, "l2") for m in (2, 3, 4, 5, 6)] + [(m, "lm") for m in (2, 4, 6)]
 
@@ -156,16 +155,23 @@ class TestCircleClosedForm:
         for k in range(8):
             T = symmetrize(Tensor(m, 2, rng.uniform(-1, 1, size=2**m) * 10.0 ** (k % 3 - 1)))
             scale = np.abs(T.data).max()
-            res = sphere_minimize(T, normalization=normalization, grid_points=0)
+            res = sphere_minimize(T, normalization=normalization)
             ref = dense_circle_values(T, normalization)
             assert res.min_value <= ref.min() + 1e-12 * scale
             # the reference grid is within (2*pi/20001)^2 of the true minimum
             assert res.min_value >= ref.min() - 1e-6 * scale
             self.check_on_circle(T, res)
 
+    def test_grid_points_has_no_effect(self):
+        T = symmetrize(Tensor(4, 2, np.random.default_rng(5).uniform(-1, 1, size=16)))
+        res = sphere_minimize(T)
+        assert repr(sphere_minimize(T, grid_points=2000)) == repr(res)
+        # both signs of the two axis points and at most four roots
+        assert res.samples <= 12
+
     @pytest.mark.parametrize("normalization", ["l2", "lm"])
     def test_zero_tensor(self, normalization):
-        res = sphere_minimize(make_tensor(4, 2, []), normalization=normalization, grid_points=0)
+        res = sphere_minimize(make_tensor(4, 2, []), normalization=normalization)
         assert res.min_value == 0.0
         assert res.converged
 
@@ -175,7 +181,7 @@ class TestCircleClosedForm:
 
         eye = unit_tensor(2, 2)
         assert len(_circle_critical_points(eye, "l2")) == 4  # the signed axis points
-        res = sphere_minimize(eye, grid_points=0)
+        res = sphere_minimize(eye)
         assert res.min_value == pytest.approx(1.0, abs=1e-15)
         self.check_on_circle(eye, res)
 
@@ -184,14 +190,14 @@ class TestCircleClosedForm:
         # diag(-1, 2): the condition polynomial loses its leading
         # coefficient, so the minimizer is a root at infinity
         T = make_tensor(2, 2, [((1, 1), -1.0), ((2, 2), 2.0)])
-        res = sphere_minimize(T, normalization=normalization, grid_points=0)
+        res = sphere_minimize(T, normalization=normalization)
         assert res.min_value == -1.0
         assert res.minimizer == (-1.0, 0.0)  # ties go to the smallest point
 
     def test_odd_order_minimum_is_the_negated_maximum(self):
         rng = np.random.default_rng(31)
         T = symmetrize(Tensor(3, 2, rng.uniform(-1, 1, size=8)))
-        res = sphere_minimize(T, grid_points=0)
+        res = sphere_minimize(T)
         ref = dense_circle_values(T, "l2")
         assert res.min_value <= ref.min() + 1e-12
         assert form_value(T, -np.array(res.minimizer)) == -res.min_value
@@ -207,7 +213,7 @@ class TestCircleClosedForm:
         coef = (g ** (4 // g.degree())).coef  # f(t, 1) in ascending powers of t
         # a position with j indices equal to 2 carries t^(4-j), shared by comb(4, j)
         T = Tensor(4, 2, [coef[4 - sum(p)] / math.comb(4, sum(p)) for p in np.ndindex((2,) * 4)])
-        res = sphere_minimize(T, normalization=normalization, grid_points=0)
+        res = sphere_minimize(T, normalization=normalization)
         assert abs(res.min_value) <= 1e-12
         assert abs(res.minimizer[0]) == pytest.approx(abs(res.minimizer[1]), abs=1e-4)
         self.check_on_circle(T, res)

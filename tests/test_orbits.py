@@ -2,7 +2,9 @@
 samplers, checked bit for bit against the permutation loops it replaced.
 The loops below are the reference and stay here."""
 
+import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,27 @@ def test_orbit_index_ranks_sorted_multi_indices(order, dim):
     expected = [canon.index(tuple(sorted(p))) for p in np.ndindex((dim,) * order)]
     assert rank.tolist() == expected
     assert not rank.flags.writeable
+
+
+def test_orbit_index_needs_less_memory_than_the_tensor():
+    order, dim = 6, 8
+    tracemalloc.start()
+    try:
+        _orbit_index.__wrapped__(order, dim)  # uncached build
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim**order
+
+
+def test_symmetric_input_skips_the_orbit_index(monkeypatch):
+    def fail(order, dim):
+        raise AssertionError("orbit index built for a symmetric tensor")
+
+    # the package exports a function of the same name as the module
+    monkeypatch.setattr(importlib.import_module("btensor.decompose"), "_orbit_index", fail)
+    T = symmetrize(Tensor(4, 3, np.random.default_rng(1).normal(size=81)))
+    assert _find_asymmetry(T) is None
 
 
 @pytest.mark.parametrize("order,dim", SHAPES)
