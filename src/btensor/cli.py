@@ -33,7 +33,6 @@ from .decompose import (
 from .io import (
     TensorFormatError,
     build_report,
-    decomposition_to_dict,
     dump_report,
     load_tensor,
     search_report_to_dict,
@@ -178,7 +177,6 @@ def main(argv: list[str] | None = None) -> int:
             flags={"mode": args.mode, "verify": not args.no_verify},
             timestamp=_timestamp(),
         )
-        doc["decomposition"] = decomposition_to_dict(result)
         print(dump_report(doc))
         return 0
 

@@ -61,10 +61,7 @@ class Tensor:
     __slots__ = ("order", "dim", "data", "name")
 
     def __init__(self, order: int, dim: int, data, name: str | None = None):
-        if order < 2:
-            raise ValueError(f"order must be >= 2, got {order}")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        _check_shape(order, dim)
         arr = np.array(data, dtype=np.float64, copy=True)
         if arr.size != dim**order:
             raise ValueError(
@@ -110,6 +107,13 @@ class Tensor:
         return f"Tensor(order={self.order}, dim={self.dim}{label})"
 
 
+def _check_shape(order: int, dim: int) -> None:
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+
+
 def _check_index(index: tuple[int, ...], order: int, dim: int) -> None:
     if len(index) != order:
         raise ValueError(f"multi-index {index} has length {len(index)}, expected {order}")
@@ -126,21 +130,50 @@ def make_tensor(
 ) -> Tensor:
     """Build a tensor from a sparse list of ``(multi_index, value)`` pairs.
 
-    Multi-indices are 1-based.  Unlisted entries are zero.  Duplicate
-    indices are rejected, naming both offending positions in the list.
+    Multi-indices are 1-based.  Unlisted entries are zero.  The list is
+    validated in bulk, and the error names the first entry, in list order,
+    whose multi-index has the wrong length, a component out of range, or
+    repeats an earlier one (naming both positions).
     """
-    data = np.zeros((dim,) * order)
-    seen: dict[tuple[int, ...], int] = {}
-    for pos, (index, value) in enumerate(entries):
-        idx = tuple(int(k) for k in index)
-        _check_index(idx, order, dim)
-        if idx in seen:
-            raise ValueError(
-                f"duplicate multi-index {idx} at entries {seen[idx]} and {pos}"
-            )
-        seen[idx] = pos
-        data[tuple(k - 1 for k in idx)] = value
+    pairs = list(entries)
+    return _tensor_from_columns(
+        order, dim, [index for index, _ in pairs], [value for _, value in pairs], name
+    )
+
+
+def _tensor_from_columns(
+    order: int, dim: int, rows: list, values, name: str | None
+) -> Tensor:
+    """:func:`make_tensor` from its multi-indices and values as two sequences."""
+    _check_shape(order, dim)
+    shape = (dim,) * order
+    data = np.zeros(shape)
+    # `stop` is the first entry whose length or range is wrong (len(rows) if none)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    stop = _first_true(lengths != order, len(rows))
+    try:
+        idx = np.array(rows[:stop], dtype=np.intp).reshape(stop, order)
+    except OverflowError:  # components past intp are out of range; compare them as objects
+        idx = np.array(rows[:stop], dtype=object).reshape(stop, order)
+    stop = _first_true(((idx < 1) | (idx > dim)).any(axis=1), stop)
+    flat = np.ravel_multi_index(tuple(idx[:stop].astype(np.intp, copy=False).T - 1), shape)
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    earlier = first[inverse]
+    repeat = _first_true(earlier != np.arange(stop), stop)
+    if repeat < stop:
+        key = tuple(int(k) for k in rows[repeat])
+        raise ValueError(
+            f"duplicate multi-index {key} at entries {int(earlier[repeat])} and {repeat}"
+        )
+    if stop < len(rows):
+        _check_index(tuple(int(k) for k in rows[stop]), order, dim)
+    data.reshape(-1)[flat] = values
     return Tensor(order, dim, data, name=name)
+
+
+def _first_true(mask: np.ndarray, default: int) -> int:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
 
 
 def unit_tensor(order: int, dim: int) -> Tensor:

@@ -192,20 +192,20 @@ def decompose(
             )
         # symmetry guarantees every positive off-diagonal entry lives fully
         # inside the located row set; the beta bookkeeping below relies on it
+        block = partially_all_one(m, n, j_hat)
+        escaping = (current.data > 0.0) & (block.data == 0.0)
+        escaping[(np.arange(n),) * m] = False
+        if escaping.any():
+            idx = np.argwhere(escaping)[0]
+            raise DecompositionError(
+                f"positive off-diagonal entry at {tuple(int(k) + 1 for k in idx)} "
+                f"escapes the row set {sorted(j_hat)}"
+            )
         members0 = {k - 1 for k in j_hat}
-        pos = np.argwhere(current.data > 0.0)
-        for idx in pos:
-            if len(set(idx)) == 1:
-                continue
-            if not set(int(k) for k in idx).issubset(members0):
-                raise DecompositionError(
-                    f"positive off-diagonal entry at {tuple(int(k) + 1 for k in idx)} "
-                    f"escapes the row set {sorted(j_hat)}"
-                )
         d = {i0: float(stats.max_off[i0]) for i0 in members0}
         h = min(d.values())
         arg_min = frozenset(i0 + 1 for i0, v in d.items() if v == h)
-        nxt = linear_combine(current, partially_all_one(m, n, j_hat), -h)
+        nxt = linear_combine(current, block, -h)
         nxt_stats = _Stats(nxt)
         for i0 in range(n):
             if i0 in members0:

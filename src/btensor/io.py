@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
+from itertools import chain, repeat
+from operator import contains, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import Tensor, is_symmetric, make_tensor
+from .core import Tensor, _tensor_from_columns, is_symmetric
 from .classify import ClassReport, Witness
 from .decompose import Certificate, Decomposition
 from .oracle import OracleResult, SearchReport
@@ -46,17 +49,127 @@ class TensorFormatError(ValueError):
     """Malformed tensor document (parse failure or semantic violation)."""
 
 
+def _nonzeros(T: Tensor) -> tuple[list[list[int]], list[float]]:
+    """1-based multi-indices and values of the nonzero entries, in
+    lexicographic order, as Python lists."""
+    mask = T.data != 0.0
+    return (np.argwhere(mask) + 1).tolist(), T.data[mask].tolist()
+
+
+def _entry_template(order: int, item_sep: str, key_sep: str, nl: str = "") -> str:
+    """``%`` template of one ``{"idx": [...], "val": ...}`` entry laid out as
+    ``json.dumps`` lays it out with these separators; a nonempty ``nl`` (a
+    newline plus the entry's indent) puts every item on its own line, as
+    ``indent=2`` does."""
+    keys = nl and nl + "  "
+    items = keys and keys + "  "
+    return (
+        "{" + keys + '"idx"' + key_sep + "[" + items
+        + (item_sep + items).join(["%d"] * order)
+        + keys + "]" + item_sep + keys + '"val"' + key_sep + "%r" + nl + "}"
+    )
+
+
+# Entries per ``%`` call, so that no argument tuple or string the rendering
+# builds on the way grows with the entry list.
+_RENDER_CHUNK = 4096
+
+
+def _render_entries(idxs: list, vals: list, template: str, sep: str) -> list[str]:
+    """Pieces whose concatenation is the entries joined by ``sep``, each
+    rendered by ``template``; every piece is one ``%`` over a flat
+    (idx..., val) argument tuple.  ``%d`` and ``%r`` print ints and floats
+    exactly as ``json.dumps`` does."""
+    pieces = []
+    for start in range(0, len(vals), _RENDER_CHUNK):
+        stop = min(start + _RENDER_CHUNK, len(vals))
+        rows = np.empty((stop - start, len(idxs[0]) + 1), dtype=object)
+        rows[:, :-1] = idxs[start:stop]
+        rows[:, -1] = vals[start:stop]
+        text = sep.join([template] * (stop - start)) % tuple(rows.ravel().tolist())
+        pieces.append(sep + text if start else text)
+    return pieces
+
+
+def _renderable_columns(entries, order) -> tuple[list, list] | None:
+    """idx lists and values of an entry list in the shape ``tensor_to_doc``
+    writes (dicts keyed idx then val, ``order`` ints, finite floats), the
+    shape the templates render like ``json.dumps``; None otherwise."""
+    if (
+        type(order) is not int
+        or order < 1
+        or type(entries) is not list
+        or not entries
+        or set(map(type, entries)) != {dict}
+        or set(map(tuple, entries)) != {("idx", "val")}
+    ):
+        return None
+    idxs = list(map(itemgetter("idx"), entries))
+    vals = list(map(itemgetter("val"), entries))
+    if (
+        set(map(type, idxs)) != {list}
+        or set(map(len, idxs)) != {order}
+        or not set(map(type, chain.from_iterable(idxs))) <= {int}
+        or set(map(type, vals)) != {float}
+        or not all(map(math.isfinite, vals))
+    ):
+        return None
+    return idxs, vals
+
+
 def tensor_to_doc(T: Tensor, name: str | None = None) -> dict:
     """Sparse document for a tensor: nonzero entries in lexicographic order."""
-    entries = []
-    for idx in np.argwhere(T.data != 0.0):
-        key = tuple(int(k) + 1 for k in idx)
-        entries.append({"idx": list(key), "val": float(T.data[tuple(idx)])})
+    idxs, vals = _nonzeros(T)
+    entries = [{"idx": idx, "val": val} for idx, val in zip(idxs, vals)]
     doc = {"order": T.order, "dim": T.dim, "entries": entries}
     label = name if name is not None else T.name
     if label is not None:
         doc["name"] = label
     return doc
+
+
+def _entry_error(pos: int, record) -> str | None:
+    """Why one entry record is malformed, or None."""
+    if not isinstance(record, dict) or "idx" not in record or "val" not in record:
+        return f"entry {pos} must be an object with 'idx' and 'val'"
+    idx, val = record["idx"], record["val"]
+    if not isinstance(idx, list) or not all(isinstance(k, int) for k in idx):
+        return f"entry {pos}: 'idx' must be a list of integers"
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return f"entry {pos}: 'val' must be a real number"
+    try:
+        float(val)
+    except OverflowError:
+        return f"entry {pos}: 'val' is too large for a float"
+    return None
+
+
+def _validated_columns(raw: list) -> tuple[list, np.ndarray]:
+    """idx lists and float values of an entry list whose records all pass
+    :func:`_entry_error`.  The checks run over the whole list at once; only
+    when one fails is the list walked to name the first bad record."""
+    if (
+        all(map(isinstance, raw, repeat(dict)))
+        and all(map(contains, raw, repeat("idx")))
+        and all(map(contains, raw, repeat("val")))
+    ):
+        idxs = list(map(itemgetter("idx"), raw))
+        vals = list(map(itemgetter("val"), raw))
+        if (
+            all(map(isinstance, idxs, repeat(list)))
+            and all(map(isinstance, chain.from_iterable(idxs), repeat(int)))
+            and all(map(isinstance, vals, repeat((int, float))))
+            and not any(map(isinstance, vals, repeat(bool)))
+        ):
+            try:
+                return idxs, np.array(vals, dtype=np.float64)
+            except OverflowError:
+                pass
+    for pos, record in enumerate(raw):
+        message = _entry_error(pos, record)
+        if message is not None:
+            raise TensorFormatError(message)
+    raise AssertionError("bulk entry checks failed but no record is malformed")
 
 
 def doc_to_tensor(doc: dict) -> Tensor:
@@ -72,21 +185,11 @@ def doc_to_tensor(doc: dict) -> Tensor:
     raw = doc["entries"]
     if not isinstance(raw, list):
         raise TensorFormatError("'entries' must be a list of {idx, val} records")
-    pairs = []
-    for pos, record in enumerate(raw):
-        if not isinstance(record, dict) or "idx" not in record or "val" not in record:
-            raise TensorFormatError(f"entry {pos} must be an object with 'idx' and 'val'")
-        idx = record["idx"]
-        val = record["val"]
-        if not isinstance(idx, list) or not all(isinstance(k, int) for k in idx):
-            raise TensorFormatError(f"entry {pos}: 'idx' must be a list of integers")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise TensorFormatError(f"entry {pos}: 'val' must be a real number")
-        pairs.append((tuple(idx), float(val)))
+    idxs, vals = _validated_columns(raw)
     name = doc.get("name")
     try:
-        return make_tensor(order, dim, pairs, name=name)
-    except ValueError as exc:
+        return _tensor_from_columns(order, dim, idxs, vals, name)
+    except (ValueError, OverflowError) as exc:
         raise TensorFormatError(str(exc)) from exc
 
 
@@ -100,6 +203,8 @@ def load_tensor(path: str | Path) -> Tensor:
         raise TensorFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the int-string conversion limit
+        raise TensorFormatError(f"{path}: {exc}") from exc
     T = doc_to_tensor(doc)
     if not is_symmetric(T):
         warnings.warn(f"{path}: tensor is not symmetric", stacklevel=2)
@@ -117,23 +222,28 @@ def dump_tensor_doc(doc: dict) -> str:
     lines.append(f'  "dim": {doc["dim"]},')
     if "name" in doc:
         lines.append(f'  "name": {json.dumps(doc["name"])},')
-    body = ",\n".join(
-        "    " + json.dumps(entry, separators=(", ", ": ")) for entry in doc["entries"]
-    )
+    columns = _renderable_columns(doc["entries"], doc["order"])
+    if columns is None:
+        body = ",\n".join(
+            "    " + json.dumps(entry, separators=(", ", ": ")) for entry in doc["entries"]
+        )
+    else:
+        template = "    " + _entry_template(doc["order"], ", ", ": ")
+        body = "".join(_render_entries(*columns, template, ",\n"))
     lines.append('  "entries": [' + ("\n" + body + "\n  ]" if body else "]"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def content_hash(T: Tensor) -> str:
-    """SHA-256 over the canonical sparse serialization of the entries."""
-    doc = tensor_to_doc(T)
-    payload = json.dumps(
-        {"order": doc["order"], "dim": doc["dim"], "entries": doc["entries"]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """SHA-256 over the canonical sparse serialization of the entries: the
+    compact ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of
+    the document's order, dim and entries."""
+    digest = hashlib.sha256(b'{"dim":%d,"entries":[' % T.dim)
+    for piece in _render_entries(*_nonzeros(T), _entry_template(T.order, ",", ":"), ","):
+        digest.update(piece.encode())
+    digest.update(b'],"order":%d}' % T.order)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -251,4 +361,59 @@ def build_report(
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
+
+    The entry lists of the tensor documents inside (decomposition
+    residuals, search candidates), which hold nearly all the bytes of a
+    large report, are rendered from one line template; everything else goes
+    through the stdlib encoder."""
+    out: list[str] = []
+    _encode(report, "\n", out)
+    return "".join(out)
+
+
+def _encode(obj, nl: str, out: list[str]) -> None:
+    """Append the ``indent=2, sort_keys=True`` rendering of ``obj`` placed at
+    the indent that ``nl`` (a newline plus that indent) opens."""
+    inner = nl + "  "
+    if isinstance(obj, dict) and _holds_entries(obj) and all(isinstance(k, str) for k in obj):
+        sep = "{"
+        for key in sorted(obj):
+            out.append(sep + inner + json.dumps(key) + ": ")
+            columns = _renderable_columns(obj[key], obj.get("order")) if key == "entries" else None
+            if columns is None:
+                _encode(obj[key], inner, out)
+            else:
+                item_nl = inner + "  "
+                template = _entry_template(obj["order"], ",", ": ", item_nl)
+                out.append("[" + item_nl)
+                out += _render_entries(*columns, template, "," + item_nl)
+                out.append(inner + "]")
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)) and _holds_entries(obj):
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _encode(item, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif isinstance(obj, (dict, list, tuple)):
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
+    else:  # a scalar, which indent and sort_keys do not affect
+        out.append(json.dumps(obj))
+
+
+_CONTAINERS = {dict, list, tuple}
+
+
+def _holds_entries(obj) -> bool:
+    """Whether a dict with an ``entries`` key sits anywhere in ``obj``,
+    searching plain dicts, lists and tuples."""
+    if type(obj) is dict:
+        if "entries" in obj:
+            return True
+        obj = obj.values()
+    elif type(obj) not in _CONTAINERS:
+        return False
+    return any(map(_holds_entries, [v for v in obj if type(v) in _CONTAINERS]))
