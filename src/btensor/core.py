@@ -130,14 +130,15 @@ def make_tensor(
 ) -> Tensor:
     """Build a tensor from a sparse list of ``(multi_index, value)`` pairs.
 
-    Multi-indices are 1-based.  Unlisted entries are zero.  The list is
-    validated in bulk, and the error names the first entry, in list order,
-    whose multi-index has the wrong length, a component out of range, or
-    repeats an earlier one (naming both positions).
+    Multi-indices are 1-based iterables of integers.  Unlisted entries are
+    zero.  The list is validated in bulk, and the error names the first
+    entry, in list order, whose multi-index has the wrong length, a
+    component out of range, or repeats an earlier one (naming both
+    positions).
     """
     pairs = list(entries)
     return _tensor_from_columns(
-        order, dim, [index for index, _ in pairs], [value for _, value in pairs], name
+        order, dim, [tuple(index) for index, _ in pairs], [value for _, value in pairs], name
     )
 
 

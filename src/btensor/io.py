@@ -128,48 +128,44 @@ def tensor_to_doc(T: Tensor, name: str | None = None) -> dict:
     return doc
 
 
-def _entry_error(pos: int, record) -> str | None:
-    """Why one entry record is malformed, or None."""
-    if not isinstance(record, dict) or "idx" not in record or "val" not in record:
-        return f"entry {pos} must be an object with 'idx' and 'val'"
-    idx, val = record["idx"], record["val"]
-    if not isinstance(idx, list) or not all(isinstance(k, int) for k in idx):
-        return f"entry {pos}: 'idx' must be a list of integers"
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        return f"entry {pos}: 'val' must be a real number"
+def _entry_columns(records: list) -> tuple[list, np.ndarray] | str:
+    """idx lists and float values of entry records, or the message (with a
+    ``{}`` for the entry's position) of the first condition that some record
+    fails.  Each condition holds for the list exactly when it holds for
+    every record alone."""
+    if not (
+        all(map(isinstance, records, repeat(dict)))
+        and all(map(contains, records, repeat("idx")))
+        and all(map(contains, records, repeat("val")))
+    ):
+        return "entry {} must be an object with 'idx' and 'val'"
+    idxs = list(map(itemgetter("idx"), records))
+    vals = list(map(itemgetter("val"), records))
+    if not (
+        all(map(isinstance, idxs, repeat(list)))
+        and all(map(isinstance, chain.from_iterable(idxs), repeat(int)))
+    ):
+        return "entry {}: 'idx' must be a list of integers"
+    if not all(map(isinstance, vals, repeat((int, float)))) or any(
+        map(isinstance, vals, repeat(bool))
+    ):
+        return "entry {}: 'val' must be a real number"
     try:
-        float(val)
+        return idxs, np.array(vals, dtype=np.float64)
     except OverflowError:
-        return f"entry {pos}: 'val' is too large for a float"
-    return None
+        return "entry {}: 'val' is too large for a float"
 
 
 def _validated_columns(raw: list) -> tuple[list, np.ndarray]:
-    """idx lists and float values of an entry list whose records all pass
-    :func:`_entry_error`.  The checks run over the whole list at once; only
-    when one fails is the list walked to name the first bad record."""
-    if (
-        all(map(isinstance, raw, repeat(dict)))
-        and all(map(contains, raw, repeat("idx")))
-        and all(map(contains, raw, repeat("val")))
-    ):
-        idxs = list(map(itemgetter("idx"), raw))
-        vals = list(map(itemgetter("val"), raw))
-        if (
-            all(map(isinstance, idxs, repeat(list)))
-            and all(map(isinstance, chain.from_iterable(idxs), repeat(int)))
-            and all(map(isinstance, vals, repeat((int, float))))
-            and not any(map(isinstance, vals, repeat(bool)))
-        ):
-            try:
-                return idxs, np.array(vals, dtype=np.float64)
-            except OverflowError:
-                pass
-    for pos, record in enumerate(raw):
-        message = _entry_error(pos, record)
-        if message is not None:
-            raise TensorFormatError(message)
-    raise AssertionError("bulk entry checks failed but no record is malformed")
+    """:func:`_entry_columns` of the whole list; when some record fails,
+    the first record that fails alone is named."""
+    columns = _entry_columns(raw)
+    if isinstance(columns, str):
+        for pos, record in enumerate(raw):
+            message = _entry_columns([record])
+            if isinstance(message, str):
+                raise TensorFormatError(message.format(pos))
+    return columns
 
 
 def doc_to_tensor(doc: dict) -> Tensor:
@@ -212,27 +208,17 @@ def load_tensor(path: str | Path) -> Tensor:
 
 
 def save_tensor(T: Tensor, path: str | Path, name: str | None = None) -> None:
-    Path(path).write_text(dump_tensor_doc(tensor_to_doc(T, name=name)))
-
-
-def dump_tensor_doc(doc: dict) -> str:
-    """Render a tensor document with one entry per line (diff-friendly)."""
-    lines = ["{"]
-    lines.append(f'  "order": {doc["order"]},')
-    lines.append(f'  "dim": {doc["dim"]},')
-    if "name" in doc:
-        lines.append(f'  "name": {json.dumps(doc["name"])},')
-    columns = _renderable_columns(doc["entries"], doc["order"])
-    if columns is None:
-        body = ",\n".join(
-            "    " + json.dumps(entry, separators=(", ", ": ")) for entry in doc["entries"]
-        )
-    else:
-        template = "    " + _entry_template(doc["order"], ", ", ": ")
-        body = "".join(_render_entries(*columns, template, ",\n"))
+    """Write the document of :func:`tensor_to_doc` with one entry per line
+    (diff-friendly)."""
+    label = name if name is not None else T.name
+    lines = ["{", f'  "order": {T.order},', f'  "dim": {T.dim},']
+    if label is not None:
+        lines.append(f'  "name": {json.dumps(label)},')
+    template = "    " + _entry_template(T.order, ", ", ": ")
+    body = "".join(_render_entries(*_nonzeros(T), template, ",\n"))
     lines.append('  "entries": [' + ("\n" + body + "\n  ]" if body else "]"))
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def content_hash(T: Tensor) -> str:
