@@ -6,7 +6,7 @@ JSON on standard output.  Exit codes:
 * classify / oracle: 0 on successful analysis (verdicts are data), 2 on
   I/O or parse failure.
 * certify: 0 positive definite, 1 not positive definite, 3 inconclusive,
-  2 on I/O failure.
+  2 on I/O failure or bad flags.
 * decompose: 0 on success, 4 when the symmetry/class preconditions fail,
   2 on I/O failure.
 * search-b0: 0 when no candidate is found, 1 when candidates exist, 2 on
@@ -110,6 +110,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if getattr(args, "margin", 0.0) < 0.0:
         parser.error(f"--margin must be >= 0, got {args.margin}")
+    # the oracle commands reach sphere_minimize, which needs at least one start
+    searches = args.command == "search-b0" or getattr(args, "oracle", False)
+    if searches and args.starts is not None and args.starts < 1:
+        parser.error(f"--starts must be >= 1, got {args.starts}")
 
     if args.command == "search-b0":
         if args.order % 2 != 0 or args.order < 2:

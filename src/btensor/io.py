@@ -192,7 +192,10 @@ def doc_to_tensor(doc: dict) -> Tensor:
 def load_tensor(path: str | Path) -> Tensor:
     """Read a tensor document; warns (without failing) when the tensor is
     not symmetric, since classification applies regardless."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TensorFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -42,6 +42,9 @@ __all__ = [
 MAX_ITER = 10_000
 GRAD_TOL = 1e-10
 _ARMIJO = 1e-4
+_HALVINGS = 80  # Armijo ladder length: steps alpha * 2^-k for k < _HALVINGS
+_STEP_FLOOR = 1e-20  # the ladder stops once every pending step is below this
+_LADDER = 0.5 ** np.arange(_HALVINGS + 1)  # exact powers of two
 
 
 @dataclass(frozen=True)
@@ -127,14 +130,27 @@ def _descend(
     drops below ``grad_tol`` or when no step of any size still decreases
     the value (the floating-point floor); only exhausting ``max_iter``
     while still improving reports non-convergence.
+
+    Each iteration backtracks by halving: a start tries the steps
+    ``alpha * 2^-k`` for k = 0, 1, ... from its warm step ``alpha`` and
+    takes the first that decreases its value strictly by the Armijo margin.
+    The starts share one stop rule: the ladder ends after the first k at
+    which every start still pending has a next step below ``_STEP_FLOOR``,
+    or after k = ``_HALVINGS - 1``, so a start whose own steps are below
+    the floor is still tried while another keeps the ladder going.  One
+    ``form_values`` call evaluates a block of consecutive k for every
+    pending start, at most twice the iteration's rows, and each start takes
+    its first passing k at or before the stop: the steps accepted are those
+    of evaluating one k per call.
     """
     m = S.order
     X = _project(np.array(X0, dtype=float), m, normalization)
     f = form_values(S, X)
-    total = len(X)
+    total, n = X.shape
     converged = np.zeros(total, dtype=bool)
     alpha = np.ones(total)  # warm-started per-row step size
     active = np.arange(total)
+    width = 1  # halvings in an iteration's first ladder call
     for _ in range(max_iter):
         if active.size == 0:
             break
@@ -150,33 +166,60 @@ def _descend(
             if active.size == 0:
                 break
             Xa, GT, gn = Xa[keep], GT[keep], gn[keep]
-        fa = f[active]
-        aa = alpha[active]
-        pending = np.arange(active.size)  # positions in active still backtracking
-        # Armijo backtracking, halving, on the pending rows only; strict
-        # decrease so a step that no longer moves the value cannot be accepted
-        for _ in range(80):
-            cand = _project(Xa - aa[:, None] * GT, m, normalization)
-            fc = form_values(S, cand)
-            ok = fc < fa - _ARMIJO * aa * gn**2
-            if ok.any():
-                rows = active[pending[ok]]
-                X[rows] = cand[ok]
-                f[rows] = fc[ok]
-                alpha[rows] = np.minimum(1.0, 2.0 * aa[ok])
-                wait = ~ok
-                pending, Xa, GT, fa, aa, gn = (
-                    pending[wait], Xa[wait], GT[wait], fa[wait], aa[wait], gn[wait]
-                )
-                if pending.size == 0:
-                    break
-            aa = aa / 2.0
-            if aa.max() < 1e-20:
+        rows = active.size
+        fa, aa, gn2 = f[active], alpha[active], gn**2
+        pending = np.arange(rows)  # positions in active with no passing k yet
+        lo, hi = 0, width
+        while True:
+            steps = aa[:, None] * _LADDER[lo:hi]
+            cand = (Xa[:, None, :] - steps[:, :, None] * GT[:, None, :]).reshape(-1, n)
+            cand = _project(cand, m, normalization)
+            fc = form_values(S, cand).reshape(steps.shape)
+            # strict decrease, so a step that no longer moves the value
+            # cannot be accepted
+            ok = fc < fa[:, None] - _ARMIJO * steps * gn2[:, None]
+            took = np.count_nonzero(ok[:, 0])
+            if lo == 0:
+                # two halvings in the next first call when most rows need one
+                width = 2 if 2 * took < rows else 1
+            if took == pending.size:
+                # every pending row passes at k = lo, where the ladder stops
+                accepted = active[pending]
+                X[accepted] = cand[:: hi - lo]
+                f[accepted] = fc[:, 0]
+                alpha[accepted] = np.minimum(1.0, 2.0 * steps[:, 0])
                 break
-        if pending.size:
-            # the floating-point floor: no step of any size decreases f
-            converged[active[pending]] = True
-            active = np.delete(active, pending)
+            # the ladder stops after the first k where no row that is still
+            # without a pass has a next step at or above the floor
+            waiting = ~np.logical_or.accumulate(ok, axis=1)
+            stop = ~np.any(waiting & (steps / 2.0 >= _STEP_FLOOR), axis=0)
+            stop[-1] |= hi == _HALVINGS
+            done = stop.any()
+            if done:
+                ok = ok[:, : stop.argmax() + 1]
+            passed = ok.any(axis=1)
+            if passed.any():
+                k = ok[passed].argmax(axis=1)
+                accepted = active[pending[passed]]
+                X[accepted] = cand.reshape(*steps.shape, n)[passed, k]
+                f[accepted] = fc[passed, k]
+                alpha[accepted] = np.minimum(1.0, 2.0 * steps[passed, k])
+                wait = ~passed
+                pending, Xa, GT, fa, aa, gn2 = (
+                    pending[wait], Xa[wait], GT[wait], fa[wait], aa[wait], gn2[wait]
+                )
+            if done:
+                if pending.size:
+                    # the floating-point floor: no step of any size decreases f
+                    converged[active[pending]] = True
+                    active = np.delete(active, pending)
+                break
+            # later calls stay within 2 * rows, and go no further than the
+            # k at which every pending next step is below the floor
+            lo = hi
+            below = aa.max() * _LADDER[lo + 1:] < _STEP_FLOOR
+            last = lo + int(below.argmax()) if below.any() else _HALVINGS - 1
+            hi = min(lo + 2 * rows // pending.size, last + 1)
     return X, f, converged
 
 

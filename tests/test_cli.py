@@ -130,6 +130,14 @@ class TestClassifyCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        # a UTF-16 byte-order mark: tensor files are JSON, read as UTF-8
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"order": 2}'.encode("utf-16-le"))
+        code, _, err = run(capsys, ["classify", str(path)])
+        assert code == 2
+        assert str(path) in err and "UTF-8" in err
+
     def test_asymmetric_warning_on_stderr(self, capsys, remark_file):
         code, _, err = run(capsys, ["classify", remark_file])
         assert code == 0
@@ -162,6 +170,14 @@ class TestCertifyCommand:
         assert cert["verdict"] == "not_positive_definite"
         assert cert["witness_value"] <= -0.76
         assert cert["oracle"]["min_value"] < 0
+
+    def test_zero_starts_with_oracle_exits_2(self, capsys, counterexample_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", counterexample_file, "--oracle", "--starts", "0"])
+        assert exc.value.code == 2
+        assert "--starts" in capsys.readouterr().err
+        # without --oracle no search runs, so the value is not used
+        assert run(capsys, ["certify", counterexample_file, "--starts", "0"])[0] == 3
 
     def test_remark_exits_3(self, capsys, remark_file):
         code, out, _ = run(capsys, ["certify", remark_file])
@@ -269,6 +285,12 @@ class TestSearchCommand:
         with pytest.raises(SystemExit) as exc:
             main(["search-b0", "--order", "4", "--dim", "2", "--trials", "0"])
         assert exc.value.code == 2
+
+    def test_zero_starts_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search-b0", "--order", "4", "--dim", "2", "--trials", "5", "--starts", "0"])
+        assert exc.value.code == 2
+        assert "--starts" in capsys.readouterr().err
 
     def test_bad_tolerance_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,8 @@ from btensor import (
     symmetrize,
     unit_tensor,
 )
+from btensor import oracle
+from btensor.oracle import _ARMIJO, _descend, _project, _tangent
 
 
 class TestSphereMinimize:
@@ -119,6 +121,172 @@ class TestSphereMinimize:
             sphere_minimize(counterexample_tensor, starts=0)
         with pytest.raises(ValueError, match="normalization"):
             sphere_minimize(counterexample_tensor, normalization="l7")
+
+
+# ---------------------------------------------------------------------------
+# the batched Armijo ladder against the one-halving-per-call loop it replaced
+
+
+def rowwise_form_values(S, X):
+    """``form_values`` one vector at a time, so that a row's value cannot
+    depend on which rows share a call, as it can through BLAS blocking."""
+    out = np.empty(len(X))
+    for i, x in enumerate(X):
+        cur = S.data
+        for _ in range(S.order):
+            cur = cur @ x
+        out[i] = cur
+    return out
+
+
+def rowwise_apply_many(S, X):
+    out = np.empty_like(X)
+    for i, x in enumerate(X):
+        cur = S.data
+        for _ in range(S.order - 1):
+            cur = cur @ x
+        out[i] = cur
+    return out
+
+
+def ref_descend(S, X0, normalization, max_iter, grad_tol, stops):
+    """The descent with one Armijo halving per form evaluation, as it was
+    before the ladder was batched; the reference for ``oracle._descend``.
+    ``stops`` counts the starts stopped at ``grad_tol`` and at the floor,
+    and the steps accepted below the floor after a halving ("late"), which
+    only the shared stop rule allows."""
+    m = S.order
+    X = _project(np.array(X0, dtype=float), m, normalization)
+    f = rowwise_form_values(S, X)
+    total = len(X)
+    converged = np.zeros(total, dtype=bool)
+    alpha = np.ones(total)
+    active = np.arange(total)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        Xa = X[active]
+        G = m * rowwise_apply_many(S, Xa)
+        GT = _tangent(G, Xa, m, normalization)
+        gn = np.linalg.norm(GT, axis=1)
+        hit = gn < grad_tol
+        if hit.any():
+            stops["grad_tol"] += int(hit.sum())
+            converged[active[hit]] = True
+            keep = ~hit
+            active = active[keep]
+            if active.size == 0:
+                break
+            Xa, GT, gn = Xa[keep], GT[keep], gn[keep]
+        fa = f[active]
+        aa = alpha[active]
+        pending = np.arange(active.size)
+        for k in range(80):
+            cand = _project(Xa - aa[:, None] * GT, m, normalization)
+            fc = rowwise_form_values(S, cand)
+            ok = fc < fa - _ARMIJO * aa * gn**2
+            if ok.any():
+                if k > 0:
+                    stops["late"] += int(np.sum(aa[ok] < 1e-20))
+                rows = active[pending[ok]]
+                X[rows] = cand[ok]
+                f[rows] = fc[ok]
+                alpha[rows] = np.minimum(1.0, 2.0 * aa[ok])
+                wait = ~ok
+                pending, Xa, GT, fa, aa, gn = (
+                    pending[wait], Xa[wait], GT[wait], fa[wait], aa[wait], gn[wait]
+                )
+                if pending.size == 0:
+                    break
+            aa = aa / 2.0
+            if aa.max() < 1e-20:
+                break
+        if pending.size:
+            stops["floor"] += pending.size
+            converged[active[pending]] = True
+            active = np.delete(active, pending)
+    return X, f, converged
+
+
+class TestBatchedLadder:
+    """``oracle._descend`` tries several halvings per ``form_values`` call;
+    with a row-independent contraction it must accept exactly the steps of
+    the one-halving loop, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def rowwise(self, monkeypatch):
+        monkeypatch.setattr(oracle, "form_values", rowwise_form_values)
+        monkeypatch.setattr(oracle, "apply_many", rowwise_apply_many)
+
+    @staticmethod
+    def check(S, X0, normalization, max_iter=10_000, grad_tol=1e-10):
+        stops = {"grad_tol": 0, "floor": 0, "late": 0}
+        ref = ref_descend(S, X0, normalization, max_iter, grad_tol, stops)
+        new = _descend(S, X0, normalization, max_iter, grad_tol)
+        for a, b in zip(new, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return ref, stops
+
+    CASES = [(m, n, "l2") for m in (3, 4, 6) for n in (3, 4, 5)] + [
+        (m, n, "lm") for m in (4, 6) for n in (3, 4, 5)]
+
+    @pytest.mark.parametrize("m,n,normalization", CASES)
+    def test_matches_one_halving_per_call(self, m, n, normalization):
+        rng = np.random.default_rng(10 * m + n)
+        S = symmetrize(Tensor(m, n, rng.uniform(-1, 1, size=n**m)))
+        X0 = np.vstack([np.eye(n), -np.eye(n), np.ones((1, n)), rng.normal(size=(12, n))])
+        # a few slow m-norm starts still improve after 500 iterations
+        _, stops = self.check(S, X0, normalization, max_iter=500)
+        assert stops["floor"] > 0
+
+    @pytest.mark.parametrize("normalization", ["l2", "lm"])
+    def test_grad_tol_stops(self, normalization):
+        # the signed axis points are critical points of a diagonal tensor
+        S = make_tensor(4, 4, [((i,) * 4, float(i)) for i in range(1, 5)])
+        rng = np.random.default_rng(3)
+        X0 = np.vstack([np.eye(4), -np.eye(4), rng.normal(size=(8, 4))])
+        _, stops = self.check(S, X0, normalization, max_iter=500)
+        assert stops["grad_tol"] >= 8
+
+    def test_max_iter_cap(self):
+        rng = np.random.default_rng(4)
+        S = symmetrize(Tensor(4, 4, rng.uniform(-1, 1, size=256)))
+        (_, _, converged), _ = self.check(S, rng.normal(size=(16, 4)), "l2", max_iter=3)
+        assert not converged.all()
+
+    def test_tiny_step_accepted_while_another_row_keeps_the_ladder_going(self):
+        # at this scale a step far below the floor still moves a point; in
+        # the second iteration one row passes at a step near 5e-23 while the
+        # other row still pends near 1e-6
+        S = Tensor(4, 3, 1e22 * unit_tensor(4, 3).data)
+        _, stops = self.check(S, np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]), "l2",
+                              max_iter=3, grad_tol=0.0)
+        assert stops["late"] >= 1
+
+    def test_form_calls_bounded(self, monkeypatch):
+        # the real contraction: counts are fixed for a given seed and BLAS
+        calls, last_apply = [], []
+        values, apply = btensor.core.form_values, btensor.core.apply_many
+
+        def counting_values(S, X):
+            if last_apply:
+                # no call evaluates more than twice the iteration's rows
+                assert len(X) <= 2 * last_apply[-1]
+            calls.append(len(X))
+            return values(S, X)
+
+        def counting_apply(S, X):
+            last_apply.append(len(X))
+            return apply(S, X)
+
+        monkeypatch.setattr(oracle, "form_values", counting_values)
+        monkeypatch.setattr(oracle, "apply_many", counting_apply)
+        rng = np.random.default_rng(6)
+        T = symmetrize(Tensor(4, 3, rng.uniform(-1, 1, size=81)))
+        sphere_minimize(T, starts=64, seed=13)
+        # one halving per call took 1,492 calls here (13,620 rows); batched,
+        # 276 (17,460 rows)
+        assert len(calls) <= 400
 
 
 def dense_circle_values(T, normalization, points=20_001):
