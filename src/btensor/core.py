@@ -10,6 +10,7 @@ numpy array.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from functools import lru_cache
 from math import comb
@@ -35,6 +36,13 @@ __all__ = [
 # Byte budget for the (n^(m-1), chunk) intermediate of the batched
 # contraction behind form_values/apply_many.
 _CONTRACT_BUDGET_BYTES = 16 * 2**20
+
+# Largest dense tensor, n^m float64 values, that the constructors and the
+# file loader will allocate (1 GiB: m=4 up to n=107, m=6 up to n=22, m=8 up
+# to n=10).  Larger shapes are refused with a ValueError before any array
+# exists, since the classifiers and the decomposition hold several arrays of
+# that size at once.
+_TENSOR_BUDGET_BYTES = 2**30
 
 
 def is_diagonal_index(index: tuple[int, ...]) -> bool:
@@ -112,6 +120,17 @@ def _check_shape(order: int, dim: int) -> None:
         raise ValueError(f"order must be >= 2, got {order}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    if order > sys.maxsize:
+        raise OverflowError("order does not fit an index-sized integer")
+    # past the budget's bit length every dim >= 2 is over it, and dim**order
+    # is not computed
+    if dim > 1 and (
+        order >= _TENSOR_BUDGET_BYTES.bit_length() or 8 * dim**order > _TENSOR_BUDGET_BYTES
+    ):
+        raise ValueError(
+            f"a dense tensor of order {order} and dim {dim} needs more than the "
+            f"{_TENSOR_BUDGET_BYTES} bytes allowed"
+        )
 
 
 def _check_index(index: tuple[int, ...], order: int, dim: int) -> None:
@@ -179,6 +198,7 @@ def _first_true(mask: np.ndarray, default: int) -> int:
 
 def unit_tensor(order: int, dim: int) -> Tensor:
     """Identity-like tensor: 1 on the diagonal ``(i, ..., i)``, 0 elsewhere."""
+    _check_shape(order, dim)
     data = np.zeros((dim,) * order)
     for i in range(dim):
         data[(i,) * order] = 1.0
@@ -197,6 +217,7 @@ def partially_all_one(order: int, dim: int, members: Iterable[int]) -> Tensor:
     for k in J:
         if not (1 <= k <= dim):
             raise ValueError(f"member {k} out of range 1..{dim}")
+    _check_shape(order, dim)
     mask = np.zeros(dim, dtype=bool)
     mask[[k - 1 for k in J]] = True
     data = np.ones((dim,) * order)

@@ -11,10 +11,11 @@ Values round-trip bit-for-bit (shortest round-trip decimals).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
-import math
 import warnings
+from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import contains, itemgetter
 from pathlib import Path
@@ -49,78 +50,128 @@ class TensorFormatError(ValueError):
     """Malformed tensor document (parse failure or semantic violation)."""
 
 
-def _nonzeros(T: Tensor) -> tuple[list[list[int]], list[float]]:
-    """1-based multi-indices and values of the nonzero entries, in
-    lexicographic order, as Python lists."""
+def _nonzeros(T: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """1-based multi-indices (an ``(N, m)`` int array) and values of the
+    nonzero entries, in lexicographic order."""
     mask = T.data != 0.0
-    return (np.argwhere(mask) + 1).tolist(), T.data[mask].tolist()
+    return np.argwhere(mask) + 1, T.data[mask]
 
 
-def _entry_template(order: int, item_sep: str, key_sep: str, nl: str = "") -> str:
-    """``%`` template of one ``{"idx": [...], "val": ...}`` entry laid out as
-    ``json.dumps`` lays it out with these separators; a nonempty ``nl`` (a
-    newline plus the entry's indent) puts every item on its own line, as
-    ``indent=2`` does."""
+def _entry_layout(item_sep: str, key_sep: str, nl: str = "") -> tuple[str, str, str, str]:
+    """Literal text of one ``{"idx": [...], "val": ...}`` entry laid out as
+    ``json.dumps`` lays it out with these separators: before the first idx
+    component, between two components, between the last component and the
+    value, and after the value.  A nonempty ``nl`` (a newline plus the
+    entry's indent) puts every item on its own line, as ``indent=2`` does."""
     keys = nl and nl + "  "
     items = keys and keys + "  "
     return (
-        "{" + keys + '"idx"' + key_sep + "[" + items
-        + (item_sep + items).join(["%d"] * order)
-        + keys + "]" + item_sep + keys + '"val"' + key_sep + "%r" + nl + "}"
+        "{" + keys + '"idx"' + key_sep + "[" + items,
+        item_sep + items,
+        keys + "]" + item_sep + keys + '"val"' + key_sep,
+        nl + "}",
     )
 
 
-# Entries per ``%`` call, so that no argument tuple or string the rendering
-# builds on the way grows with the entry list.
+# Entries per assembled block, so that no bytes array the rendering builds
+# on the way grows with the entry list.
 _RENDER_CHUNK = 4096
 
 
-def _render_entries(idxs: list, vals: list, template: str, sep: str) -> list[str]:
-    """Pieces whose concatenation is the entries joined by ``sep``, each
-    rendered by ``template``; every piece is one ``%`` over a flat
-    (idx..., val) argument tuple.  ``%d`` and ``%r`` print ints and floats
-    exactly as ``json.dumps`` does."""
+def _render_entries(
+    idx: np.ndarray, vals: np.ndarray, layout: tuple[str, str, str, str], sep: str
+) -> list[bytes]:
+    """Pieces whose concatenation is the entries joined by ``sep``, each laid
+    out by ``layout`` (see :func:`_entry_layout`).  ``idx`` holds the
+    entries' components, all at least 1, as an ``(N, m)`` int array and
+    ``vals`` their finite float values.
+
+    Each component from 0 to the largest is printed once (``%d``), and each
+    distinct value once (``repr``, deduplicated by bit pattern so that 0.0
+    and -0.0 stay apart); both print as ``json.dumps`` prints ints and
+    floats.  The entries of a block are then gathered from these tables and
+    concatenated column by column as bytes arrays."""
+    if not len(vals):
+        return []
+    head, between, before_val, tail = (part.encode() for part in layout)
+    digits = np.array([b"%d" % k for k in range(int(idx.max()) + 1)])
+    first, later = np.char.add(head, digits), np.char.add(between, digits)
+    bits, which = np.unique(vals.view(np.uint64), return_inverse=True)
+    values = np.array([
+        before_val + repr(v).encode() + tail + sep.encode()
+        for v in bits.view(np.float64).tolist()
+    ])
     pieces = []
     for start in range(0, len(vals), _RENDER_CHUNK):
-        stop = min(start + _RENDER_CHUNK, len(vals))
-        rows = np.empty((stop - start, len(idxs[0]) + 1), dtype=object)
-        rows[:, :-1] = idxs[start:stop]
-        rows[:, -1] = vals[start:stop]
-        text = sep.join([template] * (stop - start)) % tuple(rows.ravel().tolist())
-        pieces.append(sep + text if start else text)
+        rows = idx[start:start + _RENDER_CHUNK]
+        text = first[rows[:, 0]]
+        for k in range(1, rows.shape[1]):
+            text = np.char.add(text, later[rows[:, k]])
+        text = np.char.add(text, values[which[start:start + _RENDER_CHUNK]])
+        pieces.append(b"".join(text.tolist()))
+    pieces[-1] = pieces[-1][: -len(sep)]
     return pieces
 
 
-def _renderable_columns(entries, order) -> tuple[list, list] | None:
-    """idx lists and values of an entry list in the shape ``tensor_to_doc``
-    writes (dicts keyed idx then val, ``order`` ints, finite floats), the
-    shape the templates render like ``json.dumps``; None otherwise."""
+def _renderable_columns(entries, order) -> tuple[np.ndarray, np.ndarray] | None:
+    """idx and value arrays of an entry list in the shape ``tensor_to_doc``
+    writes (dicts with the keys idx and val, ``order`` ints, finite floats),
+    which :func:`_render_entries` renders like ``json.dumps(...,
+    sort_keys=True)``; None otherwise.  The components must also lie in 1
+    through the number of components in the list, which keeps the digit
+    table no longer than the list it prints."""
     if (
         type(order) is not int
         or order < 1
         or type(entries) is not list
         or not entries
         or set(map(type, entries)) != {dict}
-        or set(map(tuple, entries)) != {("idx", "val")}
+        or set(map(len, entries)) != {2}
     ):
         return None
-    idxs = list(map(itemgetter("idx"), entries))
-    vals = list(map(itemgetter("val"), entries))
+    try:
+        idxs = list(map(itemgetter("idx"), entries))
+        vals = list(map(itemgetter("val"), entries))
+    except KeyError:
+        return None
     if (
         set(map(type, idxs)) != {list}
         or set(map(len, idxs)) != {order}
         or not set(map(type, chain.from_iterable(idxs))) <= {int}
         or set(map(type, vals)) != {float}
-        or not all(map(math.isfinite, vals))
     ):
         return None
-    return idxs, vals
+    size = len(idxs) * order
+    try:
+        idx = np.fromiter(chain.from_iterable(idxs), dtype=np.intp, count=size)
+    except OverflowError:
+        return None
+    values = np.array(vals, dtype=np.float64)
+    if idx.min() < 1 or idx.max() > size or not np.isfinite(values).all():
+        return None
+    return idx.reshape(-1, order), values
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector and restore the caller's setting,
+    for building one dict and one idx list per entry: all of them outlive
+    the block, so the collections that their allocation would trigger find
+    nothing to free, and together cost about as much as the building."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def tensor_to_doc(T: Tensor, name: str | None = None) -> dict:
     """Sparse document for a tensor: nonzero entries in lexicographic order."""
-    idxs, vals = _nonzeros(T)
-    entries = [{"idx": idx, "val": val} for idx, val in zip(idxs, vals)]
+    idx, vals = _nonzeros(T)
+    with _collector_paused():
+        entries = [{"idx": key, "val": val} for key, val in zip(idx.tolist(), vals.tolist())]
     doc = {"order": T.order, "dim": T.dim, "entries": entries}
     label = name if name is not None else T.name
     if label is not None:
@@ -197,7 +248,8 @@ def load_tensor(path: str | Path) -> Tensor:
     except UnicodeDecodeError as exc:
         raise TensorFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        doc = json.loads(text)
+        with _collector_paused():
+            doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TensorFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -217,9 +269,8 @@ def save_tensor(T: Tensor, path: str | Path, name: str | None = None) -> None:
     lines = ["{", f'  "order": {T.order},', f'  "dim": {T.dim},']
     if label is not None:
         lines.append(f'  "name": {json.dumps(label)},')
-    template = "    " + _entry_template(T.order, ", ", ": ")
-    body = "".join(_render_entries(*_nonzeros(T), template, ",\n"))
-    lines.append('  "entries": [' + ("\n" + body + "\n  ]" if body else "]"))
+    body = b"".join(_render_entries(*_nonzeros(T), _entry_layout(", ", ": "), ",\n    "))
+    lines.append('  "entries": [' + ("\n    " + body.decode() + "\n  ]" if body else "]"))
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -229,8 +280,8 @@ def content_hash(T: Tensor) -> str:
     compact ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` of
     the document's order, dim and entries."""
     digest = hashlib.sha256(b'{"dim":%d,"entries":[' % T.dim)
-    for piece in _render_entries(*_nonzeros(T), _entry_template(T.order, ",", ":"), ","):
-        digest.update(piece.encode())
+    for piece in _render_entries(*_nonzeros(T), _entry_layout(",", ":"), ","):
+        digest.update(piece)
     digest.update(b'],"order":%d}' % T.order)
     return digest.hexdigest()
 
@@ -354,8 +405,9 @@ def dump_report(report: dict) -> str:
 
     The entry lists of the tensor documents inside (decomposition
     residuals, search candidates), which hold nearly all the bytes of a
-    large report, are rendered from one line template; everything else goes
-    through the stdlib encoder."""
+    large report, go through :func:`_render_entries` when
+    :func:`_renderable_columns` accepts them; everything else goes through
+    the stdlib encoder."""
     out: list[str] = []
     _encode(report, "\n", out)
     return "".join(out)
@@ -374,9 +426,9 @@ def _encode(obj, nl: str, out: list[str]) -> None:
                 _encode(obj[key], inner, out)
             else:
                 item_nl = inner + "  "
-                template = _entry_template(obj["order"], ",", ": ", item_nl)
+                pieces = _render_entries(*columns, _entry_layout(",", ": ", item_nl), "," + item_nl)
                 out.append("[" + item_nl)
-                out += _render_entries(*columns, template, "," + item_nl)
+                out += [piece.decode() for piece in pieces]
                 out.append(inner + "]")
             sep = ","
         out.append(nl + "}")

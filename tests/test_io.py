@@ -1,24 +1,28 @@
 """Bulk tensor-file I/O against the stdlib and per-entry references.
 
 The loader validates entry lists in bulk and the writers render entry lists
-from one line template; both must match, byte for byte and message for
-message, the straightforward per-entry code kept below as the reference.
+from tables of index digits and distinct values; both must match, byte for
+byte and message for message, the straightforward per-entry code kept below
+as the reference.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import json
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from btensor import Tensor, make_tensor, unit_tensor
+from btensor import Tensor, make_tensor, partially_all_one, unit_tensor
 from btensor.cli import main
 from btensor.classify import classify_all
-from btensor.core import _check_index
+from btensor.core import _TENSOR_BUDGET_BYTES, _check_index, _check_shape
 from btensor.decompose import DecompositionError, decompose, pd_certify
 import btensor.io as bio
 from btensor.io import (
@@ -203,6 +207,59 @@ class TestTensorDocuments:
         report = {"residual": tensor_to_doc(T), "more": [tensor_to_doc(T)]}
         assert dump_report(report) == ref_dump_report(report)
 
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_entry_lists_at_the_edges_of_the_array_renderer(self, chunk, monkeypatch):
+        # signed zeros must not share a rendered value; components that are
+        # not ints, or outside 1..number of components (0, -1, past intp),
+        # go through json.dumps
+        if chunk is not None:
+            monkeypatch.setattr(bio, "_RENDER_CHUNK", chunk)
+        lists = [
+            [entry([1, 1], 0.0), entry([1, 2], -0.0), entry([2, 1], 0.0), entry([2, 2], -0.0)],
+            [entry([1, 1], 5e-324), entry([1, 2], -1e300), entry([2, 1], 0.1),
+             entry([2, 2], 5e-324), entry([2, 3], -5e-324)],
+            [entry([0, 1]), entry([1, 1], -0.0)],
+            [entry([-1, 2]), entry([2, 2], 0.5)],
+            [entry([2**70, 1]), entry([1, 1], 0.5)],
+            [entry([1, 9]), entry([1, 1], 0.5)],
+            [entry([1, 1.0]), entry([1, 2], 0.5)],
+            [entry([True, 2]), entry([1, 2], 0.5)],
+        ]
+        for entries in lists:
+            doc = {"order": 2, "dim": 2, "entries": entries}
+            report = {"residual": doc, "other": [doc, {"order": 2, "entries": entries[::-1]}]}
+            assert dump_report(report) == ref_dump_report(report)
+        idx = np.array([[1, 2], [2, 1], [2, 2], [1, 1]])
+        vals = np.array([0.0, -0.0, -0.0, 0.0])
+        compact = [json.dumps(entry(k, v), separators=(",", ":"))
+                   for k, v in zip(idx.tolist(), vals.tolist())]
+        rendered = bio._render_entries(idx, vals, bio._entry_layout(",", ":"), ",")
+        assert b"".join(rendered).decode() == ",".join(compact)
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_dense_tensor_of_distinct_values(self, chunk, monkeypatch, tmp_path):
+        if chunk is not None:
+            monkeypatch.setattr(bio, "_RENDER_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        T = Tensor(3, 5, rng.normal(size=125) * 10.0 ** rng.integers(-300, 300, size=125))
+        assert len(set(T.data.ravel().tolist())) == 125 and not np.any(T.data == 0.0)
+        assert content_hash(T) == ref_content_hash(T)
+        save_tensor(T, tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == ref_dump_tensor_doc(ref_tensor_to_doc(T))
+        report = {"residual": tensor_to_doc(T), "more": [tensor_to_doc(T)]}
+        assert dump_report(report) == ref_dump_report(report)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_tensor_to_doc_leaves_the_collector_as_it_was(self, enabled, counterexample_tensor):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            doc = tensor_to_doc(counterexample_tensor)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert doc == ref_tensor_to_doc(counterexample_tensor)
+
     def test_golden_content_hashes(self, counterexample_tensor):
         # computed with the per-entry json.dumps implementation
         T = Tensor(3, 2, [2.0, -1e300, 5e-324, 0.1, 0.0, -0.0, 1e16, 1 / 3], name="golden")
@@ -377,6 +434,63 @@ class TestLoading:
                         + "0" * 5000 + "}]}")
         with pytest.raises(TensorFormatError, match="digits"):
             load_tensor(path)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("text", [
+        '{"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "val": 2.0}]}'.encode(),
+        b'{"order": 2, "dim": 1, "entries": [',
+        b"\xff\xfe{}",
+    ], ids=["good", "parse-error", "not-utf8"])
+    def test_parse_pauses_the_collector_and_restores_it(self, text, enabled, monkeypatch,
+                                                        tmp_path):
+        path = tmp_path / "t.json"
+        path.write_bytes(text)
+        seen = []
+        real_loads = json.loads
+
+        def loads(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(bio.json, "loads", loads)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_tensor(path)
+            except TensorFormatError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([] if text.startswith(b"\xff") else [False])
+
+    def test_oversized_shape_is_refused_before_allocating(self, tmp_path, capsys):
+        # order 8, dim 16 is 16**8 float64 values: 34 GB
+        doc = {"order": 8, "dim": 16, "entries": [{"idx": [1] * 8, "val": 1.0}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match="order 8 and dim 16 needs more than"):
+                load_tensor(path)
+            with pytest.raises(ValueError, match="order 8 and dim 16 needs more than"):
+                make_tensor(8, 16, [((1,) * 8, 1.0)])
+            for build in (lambda: Tensor(8, 16, [1.0]), lambda: unit_tensor(8, 16),
+                          lambda: partially_all_one(8, 16, [1])):
+                with pytest.raises(ValueError, match="order 8 and dim 16 needs more than"):
+                    build()
+            assert main(["classify", str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "needs more than" in capsys.readouterr().err
+        side = math.isqrt(_TENSOR_BUDGET_BYTES // 8)
+        _check_shape(2, side)  # the largest square matrix within the budget
+        with pytest.raises(ValueError, match="needs more than"):
+            _check_shape(2, side + 1)
+        _check_shape(10**6, 1)  # dim 1 holds one value at any order
 
     @pytest.mark.parametrize("order,dim,message", [
         (2, -1, "dim must be >= 1, got -1"),
