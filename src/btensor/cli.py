@@ -16,6 +16,7 @@ JSON on standard output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -59,7 +60,10 @@ def _load(path: str, quiet: bool):
     return T
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later
+    ones: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="btensor",
         description="Classify, decompose and certify dense real tensors "

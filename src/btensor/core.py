@@ -156,38 +156,54 @@ def make_tensor(
     positions).
     """
     pairs = list(entries)
-    return _tensor_from_columns(
+    return _tensor_from_rows(
         order, dim, [tuple(index) for index, _ in pairs], [value for _, value in pairs], name
     )
 
 
-def _tensor_from_columns(
-    order: int, dim: int, rows: list, values, name: str | None
-) -> Tensor:
-    """:func:`make_tensor` from its multi-indices and values as two sequences."""
+def _tensor_from_rows(order: int, dim: int, rows: list, values, name: str | None) -> Tensor:
+    """:func:`make_tensor` from its multi-indices as a list of sequences,
+    converted once to an index array up to the first of the wrong length."""
     _check_shape(order, dim)
-    shape = (dim,) * order
-    data = np.zeros(shape)
-    # `stop` is the first entry whose length or range is wrong (len(rows) if none)
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     stop = _first_true(lengths != order, len(rows))
     try:
         idx = np.array(rows[:stop], dtype=np.intp).reshape(stop, order)
     except OverflowError:  # components past intp are out of range; compare them as objects
         idx = np.array(rows[:stop], dtype=object).reshape(stop, order)
-    stop = _first_true(((idx < 1) | (idx > dim)).any(axis=1), stop)
-    flat = np.ravel_multi_index(tuple(idx[:stop].astype(np.intp, copy=False).T - 1), shape)
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    earlier = first[inverse]
-    repeat = _first_true(earlier != np.arange(stop), stop)
-    if repeat < stop:
-        key = tuple(int(k) for k in rows[repeat])
+    misfit = rows[stop] if stop < len(rows) else None
+    return _tensor_from_columns(order, dim, idx, values, name, misfit)
+
+
+def _tensor_from_columns(
+    order: int, dim: int, idx: np.ndarray, values, name: str | None, misfit=None
+) -> Tensor:
+    """:func:`make_tensor` from its multi-indices as an ``(N, order)`` integer
+    (or object) array and its N values.  ``misfit`` is a multi-index of the
+    wrong length that follows the N rows; its error comes after theirs."""
+    _check_shape(order, dim)
+    data = np.zeros((dim,) * order)
+    # `stop` is the first entry whose range is wrong (len(idx) if none)
+    stop = _first_true(((idx < 1) | (idx > dim)).any(axis=1), len(idx))
+    flat = np.ravel_multi_index(tuple(idx[:stop].astype(np.intp, copy=False).T - 1), data.shape)
+    # each entry writes its position into its cell: a cell that reads back
+    # another entry's position is shared
+    cells = data.reshape(-1)
+    positions = np.arange(stop, dtype=np.float64)
+    cells[flat] = positions
+    if (cells[flat] != positions).any():
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        earlier = first[inverse]
+        repeat = _first_true(earlier != np.arange(stop), stop)
+        key = tuple(int(k) for k in idx[repeat])
         raise ValueError(
             f"duplicate multi-index {key} at entries {int(earlier[repeat])} and {repeat}"
         )
-    if stop < len(rows):
-        _check_index(tuple(int(k) for k in rows[stop]), order, dim)
-    data.reshape(-1)[flat] = values
+    if stop < len(idx):
+        _check_index(tuple(int(k) for k in idx[stop]), order, dim)
+    if misfit is not None:
+        _check_index(tuple(int(k) for k in misfit), order, dim)
+    cells[flat] = values
     return Tensor(order, dim, data, name=name)
 
 

@@ -16,14 +16,14 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
-from itertools import chain, repeat
-from operator import contains, itemgetter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import Tensor, _tensor_from_columns, is_symmetric
+from .core import Tensor, _tensor_from_columns, _tensor_from_rows, is_symmetric
 from .classify import ClassReport, Witness
 from .decompose import Certificate, Decomposition
 from .oracle import OracleResult, SearchReport
@@ -113,20 +113,31 @@ def _render_entries(
     return pieces
 
 
-def _renderable_columns(entries, order) -> tuple[np.ndarray, np.ndarray] | None:
-    """idx and value arrays of an entry list in the shape ``tensor_to_doc``
-    writes (dicts with the keys idx and val, ``order`` ints, finite floats),
-    which :func:`_render_entries` renders like ``json.dumps(...,
-    sort_keys=True)``; None otherwise.  The components must also lie in 1
-    through the number of components in the list, which keeps the digit
-    table no longer than the list it prints."""
+def _renderable(idx: np.ndarray, vals: np.ndarray) -> bool:
+    """Whether :func:`_render_entries` prints these arrays as ``json.dumps``
+    prints their entry list: finite values, and components from 1 through
+    the number of components, which keeps the digit table no longer than
+    the list it prints."""
+    return bool(np.isfinite(vals).all()) and idx.min() >= 1 and idx.max() <= idx.size
+
+
+def _entry_arrays(entries, order, exact: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(N, order)`` index array and the float64 value array of a
+    nonempty list of plain entry records, or None for any other list.
+
+    Plain means dicts with the keys idx and val, each idx a list of
+    ``order`` ints within intp, and each val a float; with ``exact`` the
+    dicts hold no other key, as ``json.dumps`` of the list would show,
+    while without it (the loader's rule) bool components and int values
+    are plain too, as ``isinstance`` counts them.  Every check is a
+    whole-list pass of builtins and the components go to numpy in one
+    conversion, so no Python code runs per entry."""
     if (
         type(order) is not int
         or order < 1
         or type(entries) is not list
-        or not entries
         or set(map(type, entries)) != {dict}
-        or set(map(len, entries)) != {2}
+        or (exact and set(map(len, entries)) != {2})
     ):
         return None
     try:
@@ -137,17 +148,14 @@ def _renderable_columns(entries, order) -> tuple[np.ndarray, np.ndarray] | None:
     if (
         set(map(type, idxs)) != {list}
         or set(map(len, idxs)) != {order}
-        or not set(map(type, chain.from_iterable(idxs))) <= {int}
-        or set(map(type, vals)) != {float}
+        or not set(map(type, chain.from_iterable(idxs))) <= ({int} if exact else {int, bool})
+        or not set(map(type, vals)) <= ({float} if exact else {float, int})
     ):
         return None
-    size = len(idxs) * order
     try:
-        idx = np.fromiter(chain.from_iterable(idxs), dtype=np.intp, count=size)
-    except OverflowError:
-        return None
-    values = np.array(vals, dtype=np.float64)
-    if idx.min() < 1 or idx.max() > size or not np.isfinite(values).all():
+        idx = np.fromiter(chain.from_iterable(idxs), dtype=np.intp, count=len(idxs) * order)
+        values = np.array(vals, dtype=np.float64)
+    except OverflowError:  # a component past intp, or an int value past float
         return None
     return idx.reshape(-1, order), values
 
@@ -155,9 +163,10 @@ def _renderable_columns(entries, order) -> tuple[np.ndarray, np.ndarray] | None:
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector and restore the caller's setting,
-    for building one dict and one idx list per entry: all of them outlive
-    the block, so the collections that their allocation would trigger find
-    nothing to free, and together cost about as much as the building."""
+    for building or parsing one dict and one idx list per entry: none of
+    them is garbage while the block runs, so the collections that their
+    allocation would trigger find nothing to free, and together cost about
+    as much as the building."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -179,44 +188,21 @@ def tensor_to_doc(T: Tensor, name: str | None = None) -> dict:
     return doc
 
 
-def _entry_columns(records: list) -> tuple[list, np.ndarray] | str:
-    """idx lists and float values of entry records, or the message (with a
-    ``{}`` for the entry's position) of the first condition that some record
-    fails.  Each condition holds for the list exactly when it holds for
-    every record alone."""
-    if not (
-        all(map(isinstance, records, repeat(dict)))
-        and all(map(contains, records, repeat("idx")))
-        and all(map(contains, records, repeat("val")))
-    ):
+def _record_problem(record) -> str | None:
+    """The message, with a ``{}`` for the entry's position, of the first
+    condition that one entry record fails, or None."""
+    if not isinstance(record, dict) or "idx" not in record or "val" not in record:
         return "entry {} must be an object with 'idx' and 'val'"
-    idxs = list(map(itemgetter("idx"), records))
-    vals = list(map(itemgetter("val"), records))
-    if not (
-        all(map(isinstance, idxs, repeat(list)))
-        and all(map(isinstance, chain.from_iterable(idxs), repeat(int)))
-    ):
+    idx, val = record["idx"], record["val"]
+    if not isinstance(idx, list) or not all(isinstance(k, int) for k in idx):
         return "entry {}: 'idx' must be a list of integers"
-    if not all(map(isinstance, vals, repeat((int, float)))) or any(
-        map(isinstance, vals, repeat(bool))
-    ):
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
         return "entry {}: 'val' must be a real number"
     try:
-        return idxs, np.array(vals, dtype=np.float64)
+        float(val)
     except OverflowError:
         return "entry {}: 'val' is too large for a float"
-
-
-def _validated_columns(raw: list) -> tuple[list, np.ndarray]:
-    """:func:`_entry_columns` of the whole list; when some record fails,
-    the first record that fails alone is named."""
-    columns = _entry_columns(raw)
-    if isinstance(columns, str):
-        for pos, record in enumerate(raw):
-            message = _entry_columns([record])
-            if isinstance(message, str):
-                raise TensorFormatError(message.format(pos))
-    return columns
+    return None
 
 
 def doc_to_tensor(doc: dict) -> Tensor:
@@ -232,10 +218,17 @@ def doc_to_tensor(doc: dict) -> Tensor:
     raw = doc["entries"]
     if not isinstance(raw, list):
         raise TensorFormatError("'entries' must be a list of {idx, val} records")
-    idxs, vals = _validated_columns(raw)
     name = doc.get("name")
+    columns = _entry_arrays(raw, order, exact=False)
+    if columns is None:  # the per-record path names the first bad record
+        for pos, problem in enumerate(map(_record_problem, raw)):
+            if problem is not None:
+                raise TensorFormatError(problem.format(pos))
     try:
-        return _tensor_from_columns(order, dim, idxs, vals, name)
+        if columns is None:
+            rows, vals = [r["idx"] for r in raw], [float(r["val"]) for r in raw]
+            return _tensor_from_rows(order, dim, rows, vals, name)
+        return _tensor_from_columns(order, dim, *columns, name)
     except (ValueError, OverflowError) as exc:
         raise TensorFormatError(str(exc)) from exc
 
@@ -247,16 +240,21 @@ def load_tensor(path: str | Path) -> Tensor:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TensorFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        with _collector_paused():
+    # the parsed document is dropped before the collector resumes: freeing its
+    # objects drains the allocation count that would trigger a collection
+    with _collector_paused():
+        try:
             doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TensorFormatError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal past the int-string conversion limit
-        raise TensorFormatError(f"{path}: {exc}") from exc
-    T = doc_to_tensor(doc)
+        except json.JSONDecodeError as exc:
+            raise TensorFormatError(
+                f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        except RecursionError as exc:
+            raise TensorFormatError(f"{path}: arrays or objects nested too deeply") from exc
+        except ValueError as exc:  # an integer literal past the int-string conversion limit
+            raise TensorFormatError(f"{path}: {exc}") from exc
+        T = doc_to_tensor(doc)
+        del doc
     if not is_symmetric(T):
         warnings.warn(f"{path}: tensor is not symmetric", stacklevel=2)
     return T
@@ -406,7 +404,8 @@ def dump_report(report: dict) -> str:
     The entry lists of the tensor documents inside (decomposition
     residuals, search candidates), which hold nearly all the bytes of a
     large report, go through :func:`_render_entries` when
-    :func:`_renderable_columns` accepts them; everything else goes through
+    :func:`_entry_arrays` takes them under the exact rule and
+    :func:`_renderable` accepts the arrays; everything else goes through
     the stdlib encoder."""
     out: list[str] = []
     _encode(report, "\n", out)
@@ -421,8 +420,8 @@ def _encode(obj, nl: str, out: list[str]) -> None:
         sep = "{"
         for key in sorted(obj):
             out.append(sep + inner + json.dumps(key) + ": ")
-            columns = _renderable_columns(obj[key], obj.get("order")) if key == "entries" else None
-            if columns is None:
+            columns = key == "entries" and _entry_arrays(obj[key], obj.get("order"), exact=True)
+            if not columns or not _renderable(*columns):
                 _encode(obj[key], inner, out)
             else:
                 item_nl = inner + "  "

@@ -3,6 +3,7 @@ random-instance generators used by the property and acceptance suites."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import numpy as np
@@ -17,6 +18,17 @@ from btensor import (
     make_tensor,
     partially_all_one,
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Fail any test after which the cyclic garbage collector is switched or
+    tuned differently than before it: the I/O paths pause the collector and
+    must restore it on every exit, errors included."""
+    before = gc.isenabled(), gc.get_threshold()
+    yield
+    after = gc.isenabled(), gc.get_threshold()
+    assert after == before, f"collector (enabled, thresholds) went from {before} to {after}"
 
 
 @pytest.fixture

@@ -325,3 +325,58 @@ class TestReportDigest:
         doc = tensor_to_doc(counterexample_tensor)
         idxs = [tuple(e["idx"]) for e in doc["entries"]]
         assert idxs == sorted(idxs)
+
+
+class TestParserReuse:
+    """``build_parser`` is cached: one parser serves every ``main`` call of a
+    process, so no call may see another's arguments."""
+
+    def test_parser_is_built_once(self):
+        from btensor.cli import build_parser
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_share_no_state(self, capsys, counterexample_file):
+        code, out, _ = run(capsys, ["certify", counterexample_file, "--oracle", "--starts", "3"])
+        assert code == 1
+        assert json.loads(out)["flags"] == {"oracle": True, "starts": 3, "margin": 0.0}
+        code, out, _ = run(capsys, ["certify", counterexample_file])
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["flags"] == {"oracle": False, "starts": None, "margin": 0.0}
+        assert "oracle" not in doc["certificate"]
+
+    def test_repeated_parser_errors_exit_2(self, capsys, remark_file):
+        for _ in range(3):
+            for argv in (["classify", remark_file, "--margin", "-1"],
+                         ["search-b0", "--order", "3", "--dim", "2", "--trials", "5"],
+                         ["certify"],
+                         ["no-such-command"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert "usage: btensor" in capsys.readouterr().err
+        assert run(capsys, ["classify", remark_file])[0] == 0
+
+
+class TestNestedFiles:
+    """A document nested past the parser's recursion limit is a malformed
+    file (exit 2), not a crash that ``certify`` would report as exit 1."""
+
+    @pytest.fixture
+    def nested_file(self, tmp_path):
+        path = tmp_path / "nested.json"
+        depth = 100_000
+        path.write_text('{"order": 2, "dim": 2, "entries": [{"idx": '
+                        + "[" * depth + "]" * depth + ', "val": 1.0}]}')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["classify", "certify"])
+    def test_exits_2_naming_the_file(self, capsys, nested_file, command):
+        code, out, err = run(capsys, [command, nested_file])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {nested_file}: ") and "nested too deeply" in err
+
+    def test_load_tensor_raises_format_error(self, nested_file):
+        with pytest.raises(TensorFormatError, match="nested too deeply"):
+            load_tensor(nested_file)

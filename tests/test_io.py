@@ -18,6 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btensor import Tensor, make_tensor, partially_all_one, unit_tensor
 from btensor.cli import main
@@ -505,6 +506,148 @@ class TestLoading:
         path.write_text(json.dumps(doc))
         assert main(["classify", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# the entry scanner on long lists with one perturbed record
+
+
+class Record(dict):
+    pass
+
+
+SCAN_ORDER, SCAN_DIM = 4, 9
+
+
+def scan_records(count: int = 5000) -> list:
+    """``count`` valid records with distinct multi-indices in shuffled order."""
+    rng = np.random.default_rng(12)
+    cells = rng.permutation(SCAN_DIM**SCAN_ORDER)[:count]
+    idx = np.argwhere(np.ones((SCAN_DIM,) * SCAN_ORDER))[cells] + 1
+    vals = rng.normal(size=count) * 10.0 ** rng.integers(-300, 300, size=count)
+    return [entry(k, v) for k, v in zip(idx.tolist(), vals.tolist())]
+
+
+SCAN_RECORDS = scan_records()
+
+# kind: (perturbed record from the record at the chosen position and another
+# record, whether the loader's scan takes the list, whether the encoder's does)
+PERTURBATIONS = {
+    "bool-idx": (lambda r, o: entry([True] + r["idx"][1:], r["val"]), True, False),
+    "float-idx": (lambda r, o: entry(r["idx"][:-1] + [1.0], r["val"]), False, False),
+    "huge-idx": (lambda r, o: entry([2**70] + r["idx"][1:], r["val"]), False, False),
+    "int-val": (lambda r, o: entry(r["idx"], 3), True, False),
+    "huge-int-val": (lambda r, o: entry(r["idx"], 10**400), False, False),
+    "numpy-float": (lambda r, o: entry(r["idx"], np.float64(r["val"])), False, False),
+    "dict-subclass": (lambda r, o: Record(r), False, False),
+    "extra-key": (lambda r, o: {**r, "note": "x"}, True, False),
+    "missing-key": (lambda r, o: {"idx": r["idx"]}, False, False),
+    "ragged": (lambda r, o: entry(r["idx"][:-1], r["val"]), False, False),
+    "out-of-range": (lambda r, o: entry(r["idx"][:-1] + [SCAN_DIM + 1], r["val"]),
+                     True, True),
+    "duplicate": (lambda r, o: entry(list(o["idx"]), r["val"]), True, True),
+}
+
+
+def perturbed(kind: str, pos: int, other: int) -> list:
+    entries = list(SCAN_RECORDS)
+    entries[pos] = PERTURBATIONS[kind][0](SCAN_RECORDS[pos], SCAN_RECORDS[other])
+    return entries
+
+
+class TestEntryScanner:
+    """The whole-list scanner and its per-record fallbacks against the
+    record-by-record loader and ``json.dumps``."""
+
+    @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+    @settings(max_examples=10, deadline=None)
+    @given(pos=st.integers(0, len(SCAN_RECORDS) - 1), other=st.integers(0, len(SCAN_RECORDS) - 1))
+    def test_loader_matches_record_loop(self, kind, pos, other):
+        doc = {"order": SCAN_ORDER, "dim": SCAN_DIM, "name": kind,
+               "entries": perturbed(kind, pos, other)}
+        if kind == "huge-int-val":  # the record loop lets float() raise OverflowError
+            expected = ("rejected", f"entry {pos}: 'val' is too large for a float")
+        else:
+            expected = outcome(ref_doc_to_tensor, doc)
+        assert outcome(doc_to_tensor, doc) == expected
+
+    @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+    @settings(max_examples=3, deadline=None)  # json.dumps with indent runs in Python
+    @given(pos=st.integers(0, len(SCAN_RECORDS) - 1), other=st.integers(0, len(SCAN_RECORDS) - 1))
+    def test_encoder_matches_json_dumps(self, kind, pos, other):
+        report = {"residual": {"order": SCAN_ORDER, "dim": SCAN_DIM,
+                               "entries": perturbed(kind, pos, other)}}
+        assert dump_report(report) == ref_dump_report(report)
+
+    @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+    def test_which_lists_the_scanner_takes(self, kind):
+        _, loads, renders = PERTURBATIONS[kind]
+        entries = perturbed(kind, 17, 4000)
+        for exact, expected in ((False, loads), (True, renders)):
+            columns = bio._entry_arrays(entries, SCAN_ORDER, exact)
+            assert (columns is not None) is expected
+            if columns is not None:
+                idx, vals = columns
+                assert idx.tolist() == [[int(k) for k in r["idx"]] for r in entries]
+                assert vals.tolist() == [float(r["val"]) for r in entries]
+
+    def test_plain_list_is_taken_by_both_rules(self):
+        for exact in (False, True):
+            idx, vals = bio._entry_arrays(SCAN_RECORDS, SCAN_ORDER, exact)
+            assert idx.dtype == np.intp and idx.shape == (len(SCAN_RECORDS), SCAN_ORDER)
+            assert vals.dtype == np.float64
+        assert bio._entry_arrays(SCAN_RECORDS, SCAN_ORDER - 1, False) is None
+        assert bio._entry_arrays([], SCAN_ORDER, False) is None
+
+    def test_no_collection_follows_the_parse(self, tmp_path):
+        # the parsed document is freed while the collector is still paused
+        path = tmp_path / "t.json"
+        save_tensor(Tensor(SCAN_ORDER, SCAN_DIM, np.arange(SCAN_DIM**SCAN_ORDER) + 1.0), path)
+        started = []
+
+        def note(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(note)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                load_tensor(path)
+        finally:
+            gc.callbacks.remove(note)
+        assert gc.isenabled() and started == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("text,converted", [
+        ('{"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "val": 2.0}]}', True),
+        ('{"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "val": "x"}]}', True),
+        ('{"order": 2, "dim": 1, "entries": [' + "[" * 100_000, False),
+    ], ids=["good", "bad-record", "nested"])
+    def test_collector_stays_paused_through_conversion(self, text, converted, enabled,
+                                                        monkeypatch, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        seen = []
+        real = bio.doc_to_tensor
+
+        def doc_to_tensor(doc):
+            seen.append(gc.isenabled())
+            return real(doc)
+
+        monkeypatch.setattr(bio, "doc_to_tensor", doc_to_tensor)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_tensor(path)
+            except TensorFormatError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([False] if converted else [])
 
 
 # ---------------------------------------------------------------------------
