@@ -11,6 +11,8 @@ JSON on standard output.  Exit codes:
   2 on I/O failure.
 * search-b0: 0 when no candidate is found, 1 when candidates exist, 2 on
   bad flags.
+* any command: 5 on an unexpected internal error, with the traceback on
+  standard error, so that no crash reads as one of the codes above.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 import warnings
 from datetime import datetime, timezone
 
@@ -41,6 +44,7 @@ from .io import (
 from .oracle import conjecture_search, sphere_minimize
 
 _CERTIFY_EXIT = {POSITIVE_DEFINITE: 0, NOT_POSITIVE_DEFINITE: 1, INCONCLUSIVE: 3}
+_INTERNAL_ERROR_EXIT = 5
 
 
 def _timestamp() -> str:
@@ -111,7 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except Exception:
+        traceback.print_exc()
+        return _INTERNAL_ERROR_EXIT
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if getattr(args, "margin", 0.0) < 0.0:
         parser.error(f"--margin must be >= 0, got {args.margin}")
     # the oracle commands reach sphere_minimize, which needs at least one start

@@ -213,12 +213,15 @@ def doc_to_tensor(doc: dict) -> Tensor:
         if field not in doc:
             raise TensorFormatError(f"tensor document is missing the {field!r} field")
     order, dim = doc["order"], doc["dim"]
-    if not isinstance(order, int) or not isinstance(dim, int):
+    # JSON true and false parse to bool, a subclass of int
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (order, dim)):
         raise TensorFormatError("'order' and 'dim' must be integers")
     raw = doc["entries"]
     if not isinstance(raw, list):
         raise TensorFormatError("'entries' must be a list of {idx, val} records")
     name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise TensorFormatError(f"'name' must be a string or null, got {type(name).__name__}")
     columns = _entry_arrays(raw, order, exact=False)
     if columns is None:  # the per-record path names the first bad record
         for pos, problem in enumerate(map(_record_problem, raw)):

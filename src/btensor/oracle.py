@@ -25,6 +25,7 @@ from .core import (
     symmetrize,
 )
 from .classify import (
+    _Stats,
     all_row_stats,
     is_quasi_double_b0_tensor,
     is_quasi_double_b_tensor,
@@ -241,11 +242,18 @@ def _circle_critical_points(W: Tensor, normalization: str) -> np.ndarray:
     """
     m = W.order
     # orbit r of a dim-2 tensor holds the positions with r indices equal to
-    # 2, whose products carry t^(m-r)
-    p = np.polynomial.Polynomial(np.bincount(_orbit_index(m, 2), weights=W.data.ravel())[::-1])
-    t = np.polynomial.Polynomial([0.0, 1.0])
+    # 2, whose products carry t^(m-r): c holds p's ascending coefficients
+    c = np.bincount(_orbit_index(m, 2), weights=W.data.ravel())[::-1]
     k = 2 if normalization == "l2" else m
-    roots = ((1 + t**k) * p.deriv() - m * t ** (k - 1) * p).roots().real
+    dp = c[1:] * np.arange(1, m + 1)
+    q = np.zeros(k + m)
+    q[:m] = dp
+    q[k:] += dp
+    q[k - 1:] -= m * c
+    # np.polynomial is imported on first use, so only n = 2 solves load it.
+    # A root at t = 0 may come back as -0.0; adding 0.0 makes it 0.0, so no
+    # candidate or minimizer taken from it carries a negative zero.
+    roots = np.polynomial.polynomial.polyroots(q).real + 0.0
     X = np.vstack([np.eye(2), np.column_stack([roots, np.ones_like(roots)])])
     return np.vstack([X, -X])
 
@@ -430,7 +438,8 @@ def conjecture_search(
         rng = np.random.default_rng(child)
         sampler = _boundary_tie_sample if trial % 2 == 0 else _anchored_row_sample
         t = sampler(rng, order, dim)
-        if not (is_quasi_double_b0_tensor(t) and not is_quasi_double_b_tensor(t)):
+        s = _Stats(t)
+        if not (is_quasi_double_b0_tensor(t, _stats=s) and not is_quasi_double_b_tensor(t, _stats=s)):
             continue
         accepted += 1
         result = sphere_minimize(

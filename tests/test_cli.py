@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import btensor
 from btensor import Tensor, make_tensor, unit_tensor
@@ -380,3 +381,149 @@ class TestNestedFiles:
     def test_load_tensor_raises_format_error(self, nested_file):
         with pytest.raises(TensorFormatError, match="nested too deeply"):
             load_tensor(nested_file)
+
+
+class TestDocumentName:
+    """``name`` is a string or null; anything else is a malformed file."""
+
+    @pytest.fixture
+    def deep_name_file(self, tmp_path):
+        # json.loads parses 950 levels; encoding them back into a report
+        # would pass the recursion limit
+        path = tmp_path / "deep-name.json"
+        path.write_text('{"order": 2, "dim": 2, "name": ' + "[" * 950 + "]" * 950
+                        + ', "entries": [{"idx": [1, 1], "val": 1.0}]}')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["classify", "certify"])
+    def test_nested_name_exits_2(self, capsys, deep_name_file, command):
+        code, out, err = run(capsys, [command, deep_name_file])
+        assert code == 2
+        assert out == ""
+        assert err == "error: 'name' must be a string or null, got list\n"
+
+    @pytest.mark.parametrize("name", [7, 1.5, True, {"a": "b"}, ["x"]])
+    def test_other_types_are_refused(self, tmp_path, name):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"order": 2, "dim": 1, "name": name, "entries": []}))
+        with pytest.raises(TensorFormatError, match="'name' must be a string or null"):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("name", [None, "", "[" * 100_000])
+    def test_strings_and_null_are_kept(self, capsys, tmp_path, name):
+        # a string name keeps the report's nesting at its schema's depth
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"order": 2, "dim": 1, "name": name,
+                                    "entries": [{"idx": [1, 1], "val": 1.0}]}))
+        code, out, _ = run(capsys, ["certify", str(path)])
+        assert code == 0
+        assert json.loads(out)["input"]["name"] == name
+
+
+class TestInternalErrors:
+    """An unexpected exception exits 5 with its traceback on stderr, so no
+    crash reads as ``certify``'s 1 (not positive definite)."""
+
+    @pytest.mark.parametrize("command", ["classify", "certify", "decompose", "oracle"])
+    def test_unexpected_exception_exits_5(self, capsys, monkeypatch, b_tensor_file, command):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        for target in ("classify_all", "pd_certify", "decompose", "sphere_minimize"):
+            monkeypatch.setattr(f"btensor.cli.{target}", boom)
+        code, out, err = run(capsys, [command, b_tensor_file])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: boom\n")
+
+    def test_search_exception_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr("btensor.cli.conjecture_search", lambda *a, **k: 1 / 0)
+        code, _, err = run(capsys, ["search-b0", "--order", "4", "--dim", "2", "--trials", "2"])
+        assert code == 5
+        assert "ZeroDivisionError" in err
+
+    @pytest.mark.parametrize("command", ["classify", "certify"])
+    def test_class_chain_failure_exits_5(self, capsys, tmp_path, command):
+        # DoubleB holds, and row 2 sits exactly on the tie b_22..2 - beta_2 =
+        # Delta_2 with b_21..1 = beta_2, which the quasi inequality does not
+        # forgive: the chain check raises where a verdict belongs
+        path = tmp_path / "tie.json"
+        save_tensor(make_tensor(3, 2, [((1, 1, 1), 5.0), ((2, 1, 2), -1.0), ((2, 2, 2), 1.0)]), path)
+        code, out, err = run(capsys, ["--quiet", command, str(path)])
+        assert code == 5
+        assert out == ""
+        assert raised(err) == "InternalConsistencyError"
+        assert "subset chain violated" in err
+
+    def test_interrupt_is_not_caught(self, monkeypatch, b_tensor_file):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("btensor.cli.classify_all", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["classify", b_tensor_file])
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers(-3, 6) | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4))
+json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def tensor_documents(draw):
+    """Arbitrary JSON, or a small tensor document with distinct in-range
+    indices and small dyadic values, or one with a field replaced by
+    arbitrary JSON."""
+    kind = draw(st.sampled_from(["json", "tensor", "perturbed"]))
+    if kind == "json":
+        return draw(json_values)
+    order, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    record = st.fixed_dictionaries({
+        "idx": st.lists(st.integers(1, dim), min_size=order, max_size=order),
+        "val": st.integers(-2, 4) | st.sampled_from([0.25, 0.5, -0.5, 1.5]),
+    })
+    doc = {"order": order, "dim": dim, "name": draw(st.none() | st.text(max_size=4)),
+           "entries": draw(st.lists(record, max_size=10, unique_by=lambda r: tuple(r["idx"])))}
+    if kind == "perturbed":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(json_values)
+    return doc
+
+
+# exact ties between the class inequalities can still raise inside the class
+# chain check and the decomposition; the catch-all reports them as exit 5
+_KNOWN_CRASHES = ("InternalConsistencyError", "DecompositionError")
+
+
+def raised(err: str) -> str:
+    """Unqualified name of the exception a traceback on stderr ends with."""
+    return err.rstrip().rsplit("\n", 1)[-1].split(":", 1)[0].rsplit(".", 1)[-1]
+
+
+@pytest.mark.parametrize("field", ["order", "dim"])
+def test_boolean_shape_exits_2(capsys, tmp_path, field):
+    # JSON true is a bool, an int subclass that numpy refuses as a shape
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"order": 2, "dim": 1, "entries": []} | {field: True}))
+    code, out, err = run(capsys, ["certify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: 'order' and 'dim' must be integers\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=tensor_documents())
+def test_arbitrary_documents_never_exit_1(tmp_path, capsys, doc):
+    """Without ``--oracle`` nothing can yield "not positive definite", so no
+    JSON document makes ``certify`` exit 1; ``classify`` exits 0 or 2."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command, codes in (("classify", {0, 2}), ("certify", {0, 2, 3})):
+        code, _, err = run(capsys, ["--quiet", command, str(path)])
+        if code == 5:
+            assert raised(err) in _KNOWN_CRASHES, err
+        else:
+            assert code in codes, err

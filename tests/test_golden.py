@@ -9,6 +9,11 @@ rendering paths are covered at a size where they split into blocks.  Every
 value is dyadic, so the sums behind verdicts and witnesses are exact and
 the pins do not depend on the numpy or BLAS build.  The reports carry the
 package version, so a version change re-pins the report hashes.
+
+The oracle pins cover ``oracle`` on dim-2 files and ``search-b0`` at dim 2,
+whose minima come from polynomial roots.  Those roots are eigenvalues from
+LAPACK, so unlike the pins above these depend on the numpy, LAPACK and BLAS
+build; they were computed with numpy 2.4.6 and OpenBLAS 0.3.31.
 """
 
 from __future__ import annotations
@@ -109,6 +114,11 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def digest(code: int, out: str) -> tuple[int, str]:
+    """Exit code and SHA-256 of a report with its ``timestamp`` line removed."""
+    return code, sha256(re.sub(r'(?m)^  "timestamp": .*\n', "", out).encode())
+
+
 @pytest.fixture
 def tensor_file(request, tmp_path):
     T = TENSORS[request.param](request)
@@ -129,5 +139,49 @@ def test_writers_match_pins(tensor_file):
 def test_reports_match_pins(tensor_file, command, capsys):
     key, _, path = tensor_file
     code = main(["--quiet", *COMMANDS[command], str(path)])
-    out = re.sub(r'(?m)^  "timestamp": .*\n', "", capsys.readouterr().out)
-    assert (code, sha256(out.encode())) == GOLDEN[key][command]
+    assert digest(code, capsys.readouterr().out) == GOLDEN[key][command]
+
+
+def circle_tensor(m: int) -> Tensor:
+    """Symmetric dim-2 tensor with entries k/8, one value per orbit, whose
+    form takes both signs on the circle."""
+    twos = np.indices((2,) * m).sum(axis=0)  # indices equal to 2, per position
+    return Tensor(m, 2, ((5 * twos + m) % 9 - 4.0) / 8, name=f"circle-m{m}")
+
+
+# computed with the np.polynomial.Polynomial construction of the circle
+# candidates that the coefficient arrays replaced; m=3 on the m-norm sphere
+# exits 2 with nothing on standard output
+ORACLE_GOLDEN = {
+    "oracle-m2-l2": (0, "1a54d107a3b3f0dda1bbc7bd9ce6941134b1bb7d55f1e3971567324ff4ec8f45"),
+    "oracle-m2-lm": (0, "42142b932a5ff26940189542bf327b7cd2f954d63c76e4f6d9bf8f75aaa77066"),
+    "oracle-m3-l2": (0, "dcd6fb1e11242e1ccbfd97e3c07e8ead967ab5b495c8359941d529ba6bc2b995"),
+    "oracle-m3-lm": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "oracle-m4-l2": (0, "8957cf96f6b334f780feea0684d6122289a700485cc7c480ef28b52d1d79f88a"),
+    "oracle-m4-lm": (0, "29630f61f705f2baf1be36d0b73c75a1f73ee43f1caba0ce212f672cc308c13b"),
+    "oracle-m6-l2": (0, "260aa0d259f3ca37cc55b39c56bcff3a3637a7d218b71ab2fc214f789c1ffc2d"),
+    "oracle-m6-lm": (0, "4e8effee0d3fcfac2b22e4ea64b3c98e65ad50ad965c8fef3d92ee493362a743"),
+    "search-m4-seed1": (1, "d253378fd90c3ac5dc33a6d1a3b83b0c13ff17e295607bd73930ab2e607d949e"),
+    "search-m4-seed5": (1, "d92a1b9630645085d400d97a5f11165d0093ada195a89df60e582589cc7191f0"),
+    "search-m6-seed1": (1, "00dfe6850d569ef1bd3205c9eccb0d1cf64d77b4b05da8e0b3a8c54f95c69138"),
+    "search-m6-seed5": (1, "a70dfac16c276a399b0c7afaa8dad4f418a9aa3bdb937784c3e23bd4135e32a9"),
+}
+
+
+@pytest.mark.parametrize("normalization", ["l2", "lm"])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_oracle_reports_match_pins(m, normalization, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_tensor(circle_tensor(m), path)
+    code = main(["--quiet", "oracle", "--normalization", normalization, str(path)])
+    assert digest(code, capsys.readouterr().out) == ORACLE_GOLDEN[f"oracle-m{m}-{normalization}"]
+
+
+# a tolerance of 1e-300 records the samples whose minimum rounds below zero,
+# so the reports carry full oracle results
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("order", [4, 6])
+def test_search_reports_match_pins(order, seed, capsys):
+    code = main(["search-b0", "--order", str(order), "--dim", "2", "--trials", "40",
+                 "--seed", str(seed), "--tol", "1e-300"])
+    assert digest(code, capsys.readouterr().out) == ORACLE_GOLDEN[f"search-m{order}-seed{seed}"]

@@ -22,6 +22,7 @@ from btensor import (
     unit_tensor,
 )
 from btensor import oracle
+from btensor.core import _orbit_index
 from btensor.oracle import _ARMIJO, _descend, _project, _tangent
 
 
@@ -301,6 +302,15 @@ def dense_circle_values(T, normalization, points=20_001):
     return np.einsum(spec, T.data, *([X] * m))
 
 
+def quartic_power(factor):
+    """The symmetric m=4 n=2 tensor whose form is ``g(x1, x2)^(4 / deg g)``,
+    for ``g`` given by its coefficients in descending powers of ``x1``."""
+    g = np.polynomial.Polynomial(factor[::-1])
+    coef = (g ** (4 // g.degree())).coef  # f(t, 1) in ascending powers of t
+    # a position with j indices equal to 2 carries t^(4-j), shared by comb(4, j)
+    return Tensor(4, 2, [coef[4 - sum(p)] / math.comb(4, sum(p)) for p in np.ndindex((2,) * 4)])
+
+
 class TestCircleClosedForm:
     """n = 2 solved from the roots of one polynomial."""
 
@@ -377,14 +387,62 @@ class TestCircleClosedForm:
     def test_repeated_roots(self, factor, normalization):
         # (x1^2 - x2^2)^2 touches zero at double roots; (x1 - x2)^4 also
         # gives the condition polynomial a triple root at t = 1
-        g = np.polynomial.Polynomial(factor[::-1])
-        coef = (g ** (4 // g.degree())).coef  # f(t, 1) in ascending powers of t
-        # a position with j indices equal to 2 carries t^(4-j), shared by comb(4, j)
-        T = Tensor(4, 2, [coef[4 - sum(p)] / math.comb(4, sum(p)) for p in np.ndindex((2,) * 4)])
+        T = quartic_power(factor)
         res = sphere_minimize(T, normalization=normalization)
         assert abs(res.min_value) <= 1e-12
         assert abs(res.minimizer[0]) == pytest.approx(abs(res.minimizer[1]), abs=1e-4)
         self.check_on_circle(T, res)
+
+
+def ref_circle_critical_points(W, normalization):
+    """The circle candidates computed with ``np.polynomial.Polynomial``
+    arithmetic: the reference for the oracle's coefficient arrays."""
+    m = W.order
+    p = np.polynomial.Polynomial(np.bincount(_orbit_index(m, 2), weights=W.data.ravel())[::-1])
+    t = np.polynomial.Polynomial([0.0, 1.0])
+    k = 2 if normalization == "l2" else m
+    roots = ((1 + t**k) * p.deriv() - m * t ** (k - 1) * p).roots().real
+    X = np.vstack([np.eye(2), np.column_stack([roots, np.ones_like(roots)])])
+    return np.vstack([X, -X])
+
+
+def same_bits(a, b):
+    """Equal arrays, down to the sign of every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestCircleArrays:
+    """The coefficient-array candidates equal the Polynomial reference bit for bit."""
+
+    CASES = [(m, "l2") for m in range(2, 9)] + [(m, "lm") for m in (2, 4, 6, 8)]
+
+    @staticmethod
+    def inputs(m, rng):
+        for _ in range(6):
+            yield symmetrize(Tensor(m, 2, rng.normal(size=2**m)))
+            yield symmetrize(Tensor(m, 2, rng.normal(size=2**m) * 10.0 ** rng.integers(-8, 9)))
+            yield symmetrize(Tensor(m, 2, rng.integers(-8, 9, size=2**m) / 8))
+            yield oracle._boundary_tie_sample(rng, m, 2)
+
+    @pytest.mark.parametrize("m,normalization", CASES)
+    def test_matches_polynomial_reference(self, m, normalization):
+        rng = np.random.default_rng(700 + m)
+        for T in self.inputs(m, rng):
+            got = oracle._circle_critical_points(T, normalization)
+            assert same_bits(got, ref_circle_critical_points(T, normalization))
+
+    @pytest.mark.parametrize("normalization", ["l2", "lm"])
+    @pytest.mark.parametrize("tensor", [
+        make_tensor(4, 2, []),  # the zero tensor: no condition polynomial
+        unit_tensor(2, 2),  # the matrix identity: the coefficients cancel to zero
+        make_tensor(2, 2, [((1, 1), -1.0), ((2, 2), 2.0)]),  # the leading coefficient cancels
+        make_tensor(2, 2, [((1, 1), 0.5), ((2, 2), -1.0)]),  # a root at t = 0 that eigvals returns as -0.0
+        quartic_power((1.0, 0.0, -1.0)),  # (x1^2 - x2^2)^2: double roots
+        quartic_power((1.0, -1.0)),  # (x1 - x2)^4: a triple root at t = 1
+    ])
+    def test_special_cases(self, tensor, normalization):
+        got = oracle._circle_critical_points(tensor, normalization)
+        assert same_bits(got, ref_circle_critical_points(tensor, normalization))
 
 
 class TestLambdaMin:
@@ -455,6 +513,26 @@ class TestConjectureSearch:
         a = conjecture_search(4, 2, trials=10, seed=9, tolerance=1e-6)
         b = conjecture_search(4, 2, trials=10, seed=9, tolerance=1e-6)
         assert a == b
+
+    def test_one_row_stats_pass_per_sample(self, monkeypatch):
+        # each trial builds the stats of its off-diagonal draw in the sampler,
+        # then one set for the finished sample that both predicates share
+        from btensor import classify
+
+        made = []
+
+        class CountingStats(classify._Stats):
+            def __init__(self, T):
+                made.append(T)
+                super().__init__(T)
+
+        monkeypatch.setattr(classify, "_Stats", CountingStats)
+        monkeypatch.setattr(oracle, "_Stats", CountingStats)
+        for trials in (1, 2):
+            made.clear()
+            rep = conjecture_search(4, 2, trials=trials, seed=9, tolerance=1e-6)
+            assert rep.accepted == trials
+            assert len(made) == 2 * trials
 
     def test_candidates_reverify_if_any(self):
         rep = conjecture_search(4, 2, trials=40, seed=77, tolerance=1e-6)
