@@ -34,13 +34,7 @@ from .decompose import (
     decompose,
     pd_certify,
 )
-from .io import (
-    TensorFormatError,
-    build_report,
-    dump_report,
-    load_tensor,
-    search_report_to_dict,
-)
+from .io import TensorFormatError, _report, _search_doc, dump_report, load_tensor
 from .oracle import conjecture_search, sphere_minimize
 
 _CERTIFY_EXIT = {POSITIVE_DEFINITE: 0, NOT_POSITIVE_DEFINITE: 1, INCONCLUSIVE: 3}
@@ -143,7 +137,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             args.order, args.dim, args.trials, args.seed, args.tol, starts=args.starts
         )
         doc = {
-            "search": search_report_to_dict(report),
+            "search": _search_doc(report),
             "tool": {"name": "btensor", "version": __version__},
             "flags": {
                 "order": args.order, "dim": args.dim, "trials": args.trials,
@@ -163,7 +157,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     if args.command == "classify":
         report = classify_all(T, margin=args.margin)
-        doc = build_report(
+        doc = _report(
             T, classes=report, flags={"margin": args.margin}, timestamp=_timestamp()
         )
         print(dump_report(doc))
@@ -173,7 +167,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         cert = pd_certify(
             T, oracle=args.oracle, starts=args.starts, seed=args.seed, margin=args.margin
         )
-        doc = build_report(
+        doc = _report(
             T,
             classes=classify_all(T, margin=args.margin),
             certificate=cert,
@@ -190,7 +184,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         except (PreconditionError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
-        doc = build_report(
+        doc = _report(
             T,
             decomposition=result,
             flags={"mode": args.mode, "verify": not args.no_verify},
@@ -207,7 +201,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        doc = build_report(
+        doc = _report(
             T,
             oracle_result=result,
             seed=args.seed,

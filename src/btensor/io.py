@@ -16,6 +16,7 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -115,10 +116,10 @@ def _render_entries(
 
 def _renderable(idx: np.ndarray, vals: np.ndarray) -> bool:
     """Whether :func:`_render_entries` prints these arrays as ``json.dumps``
-    prints their entry list: finite values, and components from 1 through
-    the number of components, which keeps the digit table no longer than
-    the list it prints."""
-    return bool(np.isfinite(vals).all()) and idx.min() >= 1 and idx.max() <= idx.size
+    prints their entry list: at least one entry, finite values, and
+    components from 1 through the number of components, which keeps the
+    digit table no longer than the list it prints."""
+    return bool(len(vals) and np.isfinite(vals).all()) and idx.min() >= 1 and idx.max() <= idx.size
 
 
 def _entry_arrays(entries, order, exact: bool) -> tuple[np.ndarray, np.ndarray] | None:
@@ -126,12 +127,11 @@ def _entry_arrays(entries, order, exact: bool) -> tuple[np.ndarray, np.ndarray] 
     nonempty list of plain entry records, or None for any other list.
 
     Plain means dicts with the keys idx and val, each idx a list of
-    ``order`` ints within intp, and each val a float; with ``exact`` the
-    dicts hold no other key, as ``json.dumps`` of the list would show,
-    while without it (the loader's rule) bool components and int values
-    are plain too, as ``isinstance`` counts them.  Every check is a
-    whole-list pass of builtins and the components go to numpy in one
-    conversion, so no Python code runs per entry."""
+    ``order`` ints (not bools) within intp, and each val a float; with
+    ``exact`` the dicts hold no other key, as ``json.dumps`` of the list
+    would show, while without it (the loader's rule) int values are plain
+    too.  Every check is a whole-list pass of builtins and the components
+    go to numpy in one conversion, so no Python code runs per entry."""
     if (
         type(order) is not int
         or order < 1
@@ -148,7 +148,7 @@ def _entry_arrays(entries, order, exact: bool) -> tuple[np.ndarray, np.ndarray] 
     if (
         set(map(type, idxs)) != {list}
         or set(map(len, idxs)) != {order}
-        or not set(map(type, chain.from_iterable(idxs))) <= ({int} if exact else {int, bool})
+        or not set(map(type, chain.from_iterable(idxs))) <= {int}
         or not set(map(type, vals)) <= ({float} if exact else {float, int})
     ):
         return None
@@ -176,16 +176,43 @@ def _collector_paused():
             gc.enable()
 
 
-def tensor_to_doc(T: Tensor, name: str | None = None) -> dict:
-    """Sparse document for a tensor: nonzero entries in lexicographic order."""
-    idx, vals = _nonzeros(T)
-    with _collector_paused():
-        entries = [{"idx": key, "val": val} for key, val in zip(idx.tolist(), vals.tolist())]
-    doc = {"order": T.order, "dim": T.dim, "entries": entries}
+@dataclass(frozen=True, eq=False)
+class _Entries:
+    """An entry list kept as the arrays of :func:`_nonzeros` inside the
+    documents that :func:`_tensor_doc` and the report builders assemble,
+    until :func:`dump_report` renders it or :func:`_materialized` turns it
+    into ``{"idx", "val"}`` records."""
+
+    idx: np.ndarray
+    vals: np.ndarray
+
+
+def _materialized(obj):
+    """``obj`` with every :class:`_Entries` inside its dicts and lists
+    replaced by the records it stands for: the plain JSON document."""
+    if type(obj) is _Entries:
+        with _collector_paused():
+            return [
+                {"idx": key, "val": val} for key, val in zip(obj.idx.tolist(), obj.vals.tolist())
+            ]
+    if type(obj) is dict:
+        return {key: _materialized(value) for key, value in obj.items()}
+    if type(obj) is list:
+        return [_materialized(item) for item in obj]
+    return obj
+
+
+def _tensor_doc(T: Tensor, name: str | None = None) -> dict:
+    doc = {"order": T.order, "dim": T.dim, "entries": _Entries(*_nonzeros(T))}
     label = name if name is not None else T.name
     if label is not None:
         doc["name"] = label
     return doc
+
+
+def tensor_to_doc(T: Tensor, name: str | None = None) -> dict:
+    """Sparse document for a tensor: nonzero entries in lexicographic order."""
+    return _materialized(_tensor_doc(T, name))
 
 
 def _record_problem(record) -> str | None:
@@ -194,7 +221,10 @@ def _record_problem(record) -> str | None:
     if not isinstance(record, dict) or "idx" not in record or "val" not in record:
         return "entry {} must be an object with 'idx' and 'val'"
     idx, val = record["idx"], record["val"]
-    if not isinstance(idx, list) or not all(isinstance(k, int) for k in idx):
+    # JSON true and false parse to bool, a subclass of int
+    if not isinstance(idx, list) or not all(
+        isinstance(k, int) and not isinstance(k, bool) for k in idx
+    ):
         return "entry {}: 'idx' must be a list of integers"
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         return "entry {}: 'val' must be a real number"
@@ -205,8 +235,9 @@ def _record_problem(record) -> str | None:
     return None
 
 
-def doc_to_tensor(doc: dict) -> Tensor:
-    """Validate and densify a tensor document."""
+def _header(doc) -> tuple[int, int, list, str | None]:
+    """Order, dim, entry list and name of a tensor document, each checked
+    for its type."""
     if not isinstance(doc, dict):
         raise TensorFormatError(f"tensor document must be an object, got {type(doc).__name__}")
     for field in ("order", "dim", "entries"):
@@ -222,45 +253,165 @@ def doc_to_tensor(doc: dict) -> Tensor:
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise TensorFormatError(f"'name' must be a string or null, got {type(name).__name__}")
-    columns = _entry_arrays(raw, order, exact=False)
-    if columns is None:  # the per-record path names the first bad record
-        for pos, problem in enumerate(map(_record_problem, raw)):
-            if problem is not None:
-                raise TensorFormatError(problem.format(pos))
+    return order, dim, raw, name
+
+
+def _densified(build, *args) -> Tensor:
+    """``build(*args)``, with a ValueError or OverflowError it raises as a
+    TensorFormatError."""
     try:
-        if columns is None:
-            rows, vals = [r["idx"] for r in raw], [float(r["val"]) for r in raw]
-            return _tensor_from_rows(order, dim, rows, vals, name)
-        return _tensor_from_columns(order, dim, *columns, name)
+        return build(*args)
     except (ValueError, OverflowError) as exc:
         raise TensorFormatError(str(exc)) from exc
 
 
+def doc_to_tensor(doc: dict) -> Tensor:
+    """Validate and densify a tensor document."""
+    order, dim, raw, name = _header(doc)
+    columns = _entry_arrays(raw, order, exact=False)
+    if columns is not None:
+        return _densified(_tensor_from_columns, order, dim, *columns, name)
+    # the per-record path names the first bad record
+    for pos, problem in enumerate(map(_record_problem, raw)):
+        if problem is not None:
+            raise TensorFormatError(problem.format(pos))
+    rows, vals = [r["idx"] for r in raw], [float(r["val"]) for r in raw]
+    return _densified(_tensor_from_rows, order, dim, rows, vals, name)
+
+
+# The entry list as save_tensor (and any writer of the same layout) lays it
+# out: one {"idx": [...], "val": ...} per line, indented by four spaces.
+_BLOCK_OPEN = b'\n  "entries": '
+_BLOCK_LIST = b"[\n    "
+_BLOCK_CLOSE = b"\n  ]"
+_BLOCK_LAYOUT = (_entry_layout(", ", ": "), ",\n    ")
+# the longest repr of a float, '-2.2250738585072014e-308', in 64-bit words
+_VALUE_WIDTH = 24
+# odd multipliers that mix a value token's three words into one sort key
+_VALUE_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9], np.uint64)
+
+
+def _canonical_tensor(raw: bytes) -> Tensor | None:
+    """The tensor of a file whose entry list has the layout of
+    :func:`save_tensor`, read without parsing the entries as JSON; None
+    for any other file, which then takes the JSON parser.
+
+    The document with the entry list cut out, and ``NaN`` in its place,
+    goes to ``json.loads``; the one ``NaN`` it meets must be the value of
+    the top-level ``entries`` key.  The list is read into index and value
+    arrays by :func:`_block_columns` and then rendered again: the arrays
+    are taken only if that gives back the same bytes.  Since every float
+    prints as its ``repr`` and ``float(repr(x)) == x``, the arrays are then
+    the ones the JSON parser would give, and the tensor, or the error
+    raised on it, is the one :func:`doc_to_tensor` would give."""
+    start = raw.find(_BLOCK_OPEN + _BLOCK_LIST)
+    begin = start + len(_BLOCK_OPEN) + len(_BLOCK_LIST)
+    end = raw.find(_BLOCK_CLOSE, begin)
+    if start < 0 or end <= begin:
+        return None
+    head, tail = raw[: start + len(_BLOCK_OPEN)], raw[end + len(_BLOCK_CLOSE) :]
+    block = raw[begin:end]
+    if b"\r" in head + tail:  # the JSON path reads the file with newlines translated
+        return None
+    marker, seen = object(), []
+
+    def constant(token):
+        seen.append(token)
+        return marker
+
+    try:
+        doc = json.loads((head + b"NaN" + tail).decode("utf-8"), parse_constant=constant)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+    if type(doc) is not dict or doc.get("entries") is not marker or len(seen) != 1:
+        return None
+    order = doc.get("order")
+    columns = type(order) is int and order >= 1 and _block_columns(block, order)
+    if not columns:
+        return None
+    doc["entries"] = []
+    order, dim, _, name = _header(doc)
+    return _densified(_tensor_from_columns, order, dim, *columns, name)
+
+
+def _block_columns(block: bytes, order: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(N, order)`` index array and the value array of an entry list
+    laid out as :func:`save_tensor` lays it out (``block`` runs from the
+    first entry's ``{`` to the last one's ``}``), or None when the bytes
+    are not that layout of plain ints and finite floats.
+
+    Numbers are the runs of the bytes ``0-9.e+-``; each entry holds
+    ``order`` index components and then its value.  The components come
+    from their digits by array arithmetic, and the values from a table of
+    the distinct value tokens, with one ``float()`` each."""
+    buf = np.frombuffer(block + b" " * _VALUE_WIDTH, dtype=np.uint8)
+    number = (buf - np.uint8(48) < 10) | (buf == 46) | (buf == 101) | (buf == 43) | (buf == 45)
+    # the padding ends every run; a run at the block's first byte has no
+    # start edge and leaves the count odd
+    edges = np.flatnonzero(number[1:] != number[:-1]) + 1
+    if not len(edges) or len(edges) % (2 * (order + 1)):
+        return None
+    runs = edges.reshape(-1, order + 1, 2)
+    starts, widths = runs[..., 0], runs[..., 1] - runs[..., 0]
+    first, digits = starts[:, :-1], widths[:, :-1]
+    if digits.max() > 18 or widths[:, -1].max() > _VALUE_WIDTH:  # past intp, or not a repr
+        return None
+    idx = buf[first] - np.intp(48)
+    for k in range(1, int(digits.max())):
+        idx = np.where(k < digits, idx * 10 + (buf[first + k] - np.intp(48)), idx)
+    # each value token, padded with NUL bytes, and one sort key per token
+    windows = np.ndarray((len(block), _VALUE_WIDTH), np.uint8, buf, strides=(1, 1))
+    tokens = windows[starts[:, -1]]
+    tokens *= np.arange(_VALUE_WIDTH) < widths[:, -1:]
+    keys = (tokens.view(np.uint64) * _VALUE_MIX).sum(axis=1)
+    _, distinct, which = np.unique(keys, return_index=True, return_inverse=True)
+    try:
+        table = [float(t) for t in tokens[distinct].view(f"S{_VALUE_WIDTH}").ravel().tolist()]
+    except ValueError:
+        return None
+    # two tokens that share a key share a value, which then renders unlike one of them
+    vals = np.array(table)[which]
+    if not _renderable(idx, vals) or b"".join(_render_entries(idx, vals, *_BLOCK_LAYOUT)) != block:
+        return None
+    return idx, vals
+
+
 def load_tensor(path: str | Path) -> Tensor:
     """Read a tensor document; warns (without failing) when the tensor is
-    not symmetric, since classification applies regardless."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TensorFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    not symmetric, since classification applies regardless.
+
+    A file whose entry list has the layout of :func:`save_tensor` is read
+    by :func:`_canonical_tensor`; any other goes through ``json.loads``
+    and :func:`doc_to_tensor`, and both give the same tensor or error."""
+    raw = Path(path).read_bytes()
     # the parsed document is dropped before the collector resumes: freeing its
     # objects drains the allocation count that would trigger a collection
     with _collector_paused():
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TensorFormatError(
-                f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        except RecursionError as exc:
-            raise TensorFormatError(f"{path}: arrays or objects nested too deeply") from exc
-        except ValueError as exc:  # an integer literal past the int-string conversion limit
-            raise TensorFormatError(f"{path}: {exc}") from exc
-        T = doc_to_tensor(doc)
-        del doc
+        T = _canonical_tensor(raw)
+        if T is None:
+            T = doc_to_tensor(_parsed(raw, path))
     if not is_symmetric(T):
         warnings.warn(f"{path}: tensor is not symmetric", stacklevel=2)
     return T
+
+
+def _parsed(raw: bytes, path) -> object:
+    """``json.loads`` of a file's bytes read as UTF-8 text with universal
+    newlines, as ``Path.read_text`` reads it."""
+    try:
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise TensorFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TensorFormatError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise TensorFormatError(f"{path}: arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the int-string conversion limit
+        raise TensorFormatError(f"{path}: {exc}") from exc
 
 
 def save_tensor(T: Tensor, path: str | Path, name: str | None = None) -> None:
@@ -270,7 +421,7 @@ def save_tensor(T: Tensor, path: str | Path, name: str | None = None) -> None:
     lines = ["{", f'  "order": {T.order},', f'  "dim": {T.dim},']
     if label is not None:
         lines.append(f'  "name": {json.dumps(label)},')
-    body = b"".join(_render_entries(*_nonzeros(T), _entry_layout(", ", ": "), ",\n    "))
+    body = b"".join(_render_entries(*_nonzeros(T), *_BLOCK_LAYOUT))
     lines.append('  "entries": [' + ("\n    " + body.decode() + "\n  ]" if body else "]"))
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -311,9 +462,9 @@ def class_report_to_dict(report: ClassReport) -> dict:
     }
 
 
-def decomposition_to_dict(d: Decomposition) -> dict:
+def _decomposition_doc(d: Decomposition) -> dict:
     return {
-        "residual": tensor_to_doc(d.residual),
+        "residual": _tensor_doc(d.residual),
         "steps": [
             {"weight": weight, "rows": sorted(members)} for weight, members in d.steps
         ],
@@ -335,10 +486,14 @@ def oracle_result_to_dict(r: OracleResult) -> dict:
     }
 
 
-def certificate_to_dict(c: Certificate) -> dict:
+def decomposition_to_dict(d: Decomposition) -> dict:
+    return _materialized(_decomposition_doc(d))
+
+
+def _certificate_doc(c: Certificate) -> dict:
     out = {"verdict": c.verdict, "route": c.route, "note": c.note}
     if c.decomposition is not None:
-        out["decomposition"] = decomposition_to_dict(c.decomposition)
+        out["decomposition"] = _decomposition_doc(c.decomposition)
     if c.oracle_result is not None:
         out["oracle"] = oracle_result_to_dict(c.oracle_result)
     if c.witness is not None:
@@ -347,7 +502,11 @@ def certificate_to_dict(c: Certificate) -> dict:
     return out
 
 
-def search_report_to_dict(r: SearchReport) -> dict:
+def certificate_to_dict(c: Certificate) -> dict:
+    return _materialized(_certificate_doc(c))
+
+
+def _search_doc(r: SearchReport) -> dict:
     return {
         "trials": r.trials,
         "accepted": r.accepted,
@@ -356,7 +515,7 @@ def search_report_to_dict(r: SearchReport) -> dict:
         "candidates": [
             {
                 "trial": c.trial,
-                "tensor": tensor_to_doc(c.tensor),
+                "tensor": _tensor_doc(c.tensor),
                 "oracle": oracle_result_to_dict(c.oracle_result),
             }
             for c in r.candidates
@@ -364,7 +523,11 @@ def search_report_to_dict(r: SearchReport) -> dict:
     }
 
 
-def build_report(
+def search_report_to_dict(r: SearchReport) -> dict:
+    return _materialized(_search_doc(r))
+
+
+def _report(
     T: Tensor,
     *,
     classes: ClassReport | None = None,
@@ -375,7 +538,8 @@ def build_report(
     flags: dict | None = None,
     timestamp: str | None = None,
 ) -> dict:
-    """Assemble the full machine-readable report for one input tensor."""
+    """The report of :func:`build_report` with its entry lists kept as
+    :class:`_Entries`, for :func:`dump_report` to render."""
     report: dict = {
         "input": {
             "order": T.order,
@@ -393,12 +557,20 @@ def build_report(
     if classes is not None:
         report["classes"] = class_report_to_dict(classes)
     if certificate is not None:
-        report["certificate"] = certificate_to_dict(certificate)
+        report["certificate"] = _certificate_doc(certificate)
     if oracle_result is not None:
         report["oracle"] = oracle_result_to_dict(oracle_result)
     if decomposition is not None:
-        report["decomposition"] = decomposition_to_dict(decomposition)
+        report["decomposition"] = _decomposition_doc(decomposition)
     return report
+
+
+def build_report(T: Tensor, **parts) -> dict:
+    """Assemble the full machine-readable report for one input tensor from
+    the keyword-only parts ``classes``, ``certificate``, ``oracle_result``,
+    ``decomposition``, ``seed``, ``flags`` and ``timestamp`` (see
+    :func:`_report`)."""
+    return _materialized(_report(T, **parts))
 
 
 def dump_report(report: dict) -> str:
@@ -407,9 +579,11 @@ def dump_report(report: dict) -> str:
     The entry lists of the tensor documents inside (decomposition
     residuals, search candidates), which hold nearly all the bytes of a
     large report, go through :func:`_render_entries` when
-    :func:`_entry_arrays` takes them under the exact rule and
-    :func:`_renderable` accepts the arrays; everything else goes through
-    the stdlib encoder."""
+    :func:`_renderable` accepts their arrays: those of an :class:`_Entries`
+    (the documents of the private builders, which the CLI prints), or of a
+    list of records that :func:`_entry_arrays` takes under the exact rule
+    (the plain documents of the public builders).  Everything else goes
+    through the stdlib encoder, with an :class:`_Entries` as its records."""
     out: list[str] = []
     _encode(report, "\n", out)
     return "".join(out)
@@ -423,9 +597,13 @@ def _encode(obj, nl: str, out: list[str]) -> None:
         sep = "{"
         for key in sorted(obj):
             out.append(sep + inner + json.dumps(key) + ": ")
-            columns = key == "entries" and _entry_arrays(obj[key], obj.get("order"), exact=True)
+            value = obj[key]
+            columns = key == "entries" and (
+                (value.idx, value.vals) if type(value) is _Entries
+                else _entry_arrays(value, obj.get("order"), exact=True)
+            )
             if not columns or not _renderable(*columns):
-                _encode(obj[key], inner, out)
+                _encode(_materialized(value) if type(value) is _Entries else value, inner, out)
             else:
                 item_nl = inner + "  "
                 pieces = _render_entries(*columns, _entry_layout(",", ": ", item_nl), "," + item_nl)

@@ -8,19 +8,23 @@ as the reference.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import importlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from btensor import Tensor, make_tensor, partially_all_one, unit_tensor
+import btensor.cli
 from btensor.cli import main
 from btensor.classify import classify_all
 from btensor.core import _TENSOR_BUDGET_BYTES, _check_index, _check_shape
@@ -39,7 +43,7 @@ from btensor.io import (
     search_report_to_dict,
     tensor_to_doc,
 )
-from btensor.oracle import SearchCandidate, SearchReport, sphere_minimize
+from btensor.oracle import SearchCandidate, SearchReport, conjecture_search, sphere_minimize
 
 from conftest import random_quasi_instance
 
@@ -107,7 +111,9 @@ def ref_doc_to_tensor(doc) -> Tensor:
         if not isinstance(record, dict) or "idx" not in record or "val" not in record:
             raise TensorFormatError(f"entry {pos} must be an object with 'idx' and 'val'")
         idx, val = record["idx"], record["val"]
-        if not isinstance(idx, list) or not all(isinstance(k, int) for k in idx):
+        if not isinstance(idx, list) or not all(
+            isinstance(k, int) and not isinstance(k, bool) for k in idx
+        ):
             raise TensorFormatError(f"entry {pos}: 'idx' must be a list of integers")
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise TensorFormatError(f"entry {pos}: 'val' must be a real number")
@@ -125,6 +131,26 @@ def ref_doc_to_tensor(doc) -> Tensor:
         return Tensor(order, dim, data, name=doc.get("name"))
     except ValueError as exc:
         raise TensorFormatError(str(exc)) from exc
+
+
+def ref_load_tensor(path) -> Tensor:
+    """The JSON path of the loader: the whole file through ``json.loads``
+    and :func:`doc_to_tensor`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TensorFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TensorFormatError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise TensorFormatError(f"{path}: arrays or objects nested too deeply") from exc
+    except ValueError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from exc
+    return doc_to_tensor(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +356,82 @@ class TestReports:
         doc = json.loads(capsys.readouterr().out)
         assert doc["decomposition"] == decomposition_to_dict(decompose(T))
 
+    # The CLI's reports keep each entry list as arrays (io._Entries) until
+    # dump_report renders it; the public builders return the same documents
+    # with records in their place.
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (4, 3), (4, 5), (6, 2)])
+    def test_array_carrying_reports_render_as_the_public_dicts(self, m, n):
+        T = decomposable(m, n, seed=m + n)
+        cert = dataclasses.replace(pd_certify(T), decomposition=decompose(T, mode="double"))
+        for parts in (
+            {"classes": classify_all(T), "certificate": cert, "seed": 0,
+             "flags": {"oracle": False, "starts": None, "margin": 0.0}},
+            {"decomposition": decompose(T), "flags": {"mode": "quasi", "verify": True}},
+        ):
+            carried = bio._report(T, timestamp="t", **parts)
+            public = build_report(T, timestamp="t", **parts)
+            assert is_plain(public)
+            if "certificate" in parts:
+                residual = carried["certificate"]["decomposition"]["residual"]
+                assert public["certificate"] == certificate_to_dict(cert)
+            else:
+                residual = carried["decomposition"]["residual"]
+                assert public["decomposition"] == decomposition_to_dict(parts["decomposition"])
+            assert type(residual["entries"]) is bio._Entries
+            assert dump_report(carried) == ref_dump_report(public)
+
+    @pytest.mark.parametrize("m,n", [(4, 2), (6, 2)])
+    def test_array_carrying_search_report_renders_as_the_public_dict(self, m, n):
+        found = conjecture_search(m, n, trials=30, seed=5, tolerance=1e-300, starts=4)
+        assert found.candidates
+        oracle = found.candidates[0].oracle_result
+        candidates = [SearchCandidate(9, sample_tensor(m, n, seed=3), oracle)]
+        for report in (found, SearchReport(1, 1, candidates, 2, {"order": m})):
+            public = search_report_to_dict(report)
+            assert is_plain(public)
+            assert dump_report({"search": bio._search_doc(report)}) == ref_dump_report(
+                {"search": public})
+
+    @pytest.mark.parametrize("T", TENSORS + [
+        pytest.param(Tensor(2, 5, np.eye(5)[4] * np.eye(5)[:, [4]]), id="past-renderer"),
+    ])
+    def test_array_carrying_tensor_documents(self, T):
+        # arrays the renderer does not take go to the stdlib encoder as records
+        carried = {"residual": bio._tensor_doc(T), "more": [bio._tensor_doc(T, name="x")]}
+        public = {"residual": tensor_to_doc(T), "more": [tensor_to_doc(T, name="x")]}
+        assert is_plain(public) and bio._materialized(carried) == public
+        assert dump_report(carried) == ref_dump_report(public)
+
+    @pytest.mark.parametrize("command", ["certify", "decompose"])
+    def test_cli_report_is_the_public_report(self, command, capsys, monkeypatch, tmp_path):
+        rng = np.random.default_rng(0)
+        T = random_quasi_instance(rng, 6, 2)
+        while pd_certify(T).decomposition is None:  # a certificate that carries a residual
+            T = random_quasi_instance(rng, 6, 2)
+        path = tmp_path / "t.json"
+        save_tensor(T, path, name="cli")
+        monkeypatch.setattr(btensor.cli, "_timestamp", lambda: "t")
+        assert main(["--quiet", command, str(path)]) == 0
+        T = load_tensor(path)
+        if command == "certify":
+            public = build_report(
+                T, classes=classify_all(T), certificate=pd_certify(T), seed=0,
+                flags={"oracle": False, "starts": None, "margin": 0.0}, timestamp="t")
+        else:
+            public = build_report(T, decomposition=decompose(T),
+                                  flags={"mode": "quasi", "verify": True}, timestamp="t")
+        assert capsys.readouterr().out == ref_dump_report(public) + "\n"
+
+
+def is_plain(obj) -> bool:
+    """Whether ``obj`` is built of plain JSON types only."""
+    if type(obj) is dict:
+        return all(type(k) is str and is_plain(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(map(is_plain, obj))
+    return obj is None or type(obj) in (str, int, float, bool)
+
 
 # ---------------------------------------------------------------------------
 # loading
@@ -372,6 +474,7 @@ MALFORMED = {
     "dim-zero": {"order": 2, "dim": 0, "entries": []},
     "order-one": {"order": 1, "dim": 2, "entries": []},
     "bool-idx": {"order": 2, "dim": 2, "entries": [entry([True, 2])]},
+    "false-idx": {"order": 2, "dim": 2, "entries": [entry([1, 1]), entry([2, False])]},
     "int-val": {"order": 2, "dim": 2, "entries": [entry([1, 2], 3)]},
     "valid-unsorted": {"order": 2, "dim": 3, "name": "x",
                        "entries": [entry([3, 1], 1.5), entry([1, 3], -2.0)]},
@@ -508,6 +611,172 @@ class TestLoading:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("idx", [[True, 2], [2, False], [1, 1, True]],
+                             ids=["true", "false", "ragged"])
+    def test_boolean_components_exit_2_naming_the_entry(self, idx, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"order": 2, "dim": 2, "entries": [
+            {"idx": [1, 1], "val": 1.0}, {"idx": idx, "val": 2.0}]}))
+        with pytest.raises(TensorFormatError, match=r"^entry 1: 'idx' must be a list of integers$"):
+            load_tensor(path)
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: entry 1: 'idx' must be a list of integers\n"
+
+
+# ---------------------------------------------------------------------------
+# the canonical reader: files in save_tensor's layout, and files a few bytes
+# away from it, against the JSON path
+
+
+def load_outcome(load, path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            T = load(path)
+    except TensorFormatError as exc:
+        return "rejected", str(exc)
+    return "accepted", T.order, T.dim, T.data.tobytes(), T.name
+
+
+VALUE_POOL = (0.0, 0.0, 0.0, 1.5, -2.0, 0.1, 1e-05, 1e16, -1e300, 5e-324, 1 / 3, -2.5e-7, 123456.75)
+NAME_POOL = (None, "t", 'label "quoted" ü\n', '"entries": [', '\n  "entries": [\n    {"idx": [1')
+
+
+@st.composite
+def file_tensors(draw) -> Tensor:
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3 if m == 4 else 4))
+    data = draw(st.lists(st.sampled_from(VALUE_POOL), min_size=n**m, max_size=n**m))
+    return Tensor(m, n, data, name=draw(st.sampled_from(NAME_POOL)))
+
+
+def block_span(raw: bytes) -> tuple[int, int]:
+    """Start and end of the entry lines of a saved file (empty if none)."""
+    start = raw.find(b'"entries": [\n    ')
+    if start < 0:
+        return len(raw), len(raw)
+    start += len(b'"entries": [\n    ')
+    return start, raw.index(b"\n  ]", start)
+
+
+def value_tokens(raw: bytes) -> list[re.Match]:
+    start, end = block_span(raw)
+    return list(re.compile(rb'"val": ([^}]+)\}').finditer(raw, start, end))
+
+
+def respelled(raw: bytes, at: int, spell) -> bytes:
+    """``raw`` with one value token (if any) spelled by ``spell(value)``."""
+    tokens = value_tokens(raw)
+    if not tokens:
+        return raw
+    token = tokens[at % len(tokens)]
+    return raw[: token.start(1)] + spell(float(token.group(1))).encode() + raw[token.end(1):]
+
+
+def zero_appended(v: float) -> str:
+    """A spelling of ``v`` other than its repr: a zero appended to the
+    mantissa (``1.50``, ``1.0e-05``)."""
+    mantissa, e, exponent = repr(v).partition("e")
+    return mantissa + ("0" if "." in mantissa else ".0") + e + exponent
+
+
+def flipped_digit(raw: bytes, at: int) -> bytes:
+    digits = [k for k, c in enumerate(raw) if chr(c).isdigit()]
+    k = digits[at % len(digits)]
+    return raw[:k] + b"%d" % ((raw[k] - 47) % 10) + raw[k + 1:]
+
+
+def with_trailing_space(raw: bytes, at: int) -> bytes:
+    lines = raw.split(b"\n")
+    lines[at % len(lines)] += b" "
+    return b"\n".join(lines)
+
+
+def entries_first(raw: bytes, at: int) -> bytes:
+    cut = raw.index(b'\n  "entries": ')
+    fields = raw[2:cut].rstrip(b",")  # the lines between "{\n" and the entries key
+    entries = raw[cut + 1: raw.rindex(b"\n}")]
+    return b"{\n" + entries + b",\n" + fields + b"\n}\n"
+
+
+MUTATIONS = {
+    "none": lambda raw, at: raw,
+    "flipped-digit": flipped_digit,
+    "trailing-zero": lambda raw, at: respelled(raw, at, zero_appended),
+    "exponent-form": lambda raw, at: respelled(raw, at, lambda v: "%.16e" % v),
+    "negative-zero": lambda raw, at: respelled(raw, at, lambda v: "-0.0"),
+    "int-value": lambda raw, at: respelled(raw, at, lambda v: "%d" % v if abs(v) < 1e300 else "7"),
+    "crlf": lambda raw, at: raw.replace(b"\n", b"\r\n"),
+    "lone-cr": lambda raw, at: raw.replace(b"\n", b"\r", 1 + at % 3),
+    "trailing-space": with_trailing_space,
+    "entries-key-before": lambda raw, at: raw.replace(
+        b"{\n", b'{\n  "entries": [%s],\n' % (b'{"idx": [9], "val": 1.0}' if at % 2 else b""), 1),
+    "entries-key-after": lambda raw, at: raw[: raw.rindex(b"\n}")] + (
+        b',\n  "entries": []' if at % 2
+        else b',\n  "entries": [\n    {"idx": [1, 1], "val": 2.0}\n  ]'
+    ) + b"\n}\n",
+    "entries-first": entries_first,
+    "bom": lambda raw, at: b"\xef\xbb\xbf" + raw,
+    "invalid-utf8": lambda raw, at: raw[: at % len(raw)] + b"\xff" + raw[at % len(raw):],
+    "truncated": lambda raw, at: raw[: at % len(raw)],
+    "nan-name": lambda raw, at: raw.replace(b'"dim"', b'"nan": NaN,\n  "dim"', 1),
+}
+
+
+class TestCanonicalReader:
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(T=file_tensors(), at=st.integers(0, 10**6))
+    def test_same_tensor_or_message_as_the_json_path(self, kind, T, at, tmp_path):
+        path = tmp_path / "t.json"
+        save_tensor(T, path)
+        path.write_bytes(MUTATIONS[kind](path.read_bytes(), at))
+        assert load_outcome(load_tensor, path) == load_outcome(ref_load_tensor, path)
+
+    @pytest.mark.parametrize("kind,canonical", [
+        ("none", True), ("negative-zero", True), ("entries-first", True),
+        ("entries-key-before", True), ("trailing-zero", False), ("exponent-form", False),
+        ("int-value", False), ("crlf", False), ("entries-key-after", False), ("bom", False),
+        ("nan-name", False),
+    ])
+    def test_which_files_take_the_array_reader(self, kind, canonical, tmp_path):
+        # a dense m=4 n=9 file crosses the renderer's block of 4,096 entries
+        T = sample_tensor(4, 9, seed=21, name="big")
+        T = Tensor(4, 9, np.where(T.data == 0.0, 0.25, T.data), name="big")
+        path = tmp_path / "t.json"
+        save_tensor(T, path)
+        raw = MUTATIONS[kind](path.read_bytes(), 6000)
+        path.write_bytes(raw)
+        assert (bio._canonical_tensor(raw) is not None) is canonical
+        assert load_outcome(load_tensor, path) == load_outcome(ref_load_tensor, path)
+        if kind == "none":
+            assert load_outcome(load_tensor, path)[3] == T.data.tobytes()
+
+    @pytest.mark.parametrize("at", [0, 5, 4095, 4096, 6560])
+    def test_one_flipped_digit_in_a_long_file(self, at, tmp_path):
+        T = Tensor(4, 9, np.arange(9**4) * 0.5 + 0.25)
+        path = tmp_path / "t.json"
+        save_tensor(T, path)
+        raw = path.read_bytes()
+        token = value_tokens(raw)[at]
+        k = token.start(1) + len(token.group(1)) - 1
+        for raw in (raw[:k] + b"%d" % ((raw[k] - 47) % 10) + raw[k + 1:],
+                    flipped_digit(raw, 7 * at + 11)):
+            path.write_bytes(raw)
+            assert load_outcome(load_tensor, path) == load_outcome(ref_load_tensor, path)
+
+    def test_perfbench_layout_takes_the_array_reader(self):
+        # the benchmark writes its files with this layout and a name
+        body = ",\n".join('    {"idx": [%d, %d], "val": %r}' % (i, j, i - j / 3)
+                          for i in (1, 2) for j in (1, 2))
+        raw = ('{\n  "order": 2,\n  "dim": 2,\n  "name": "b",\n  "entries": [\n' + body
+               + "\n  ]\n}\n").encode()
+        T = bio._canonical_tensor(raw)
+        assert T is not None and T.name == "b"
+        assert T.data.tolist() == [[1 - 1 / 3, 1 - 2 / 3], [2 - 1 / 3, 2 - 2 / 3]]
+
+
 # ---------------------------------------------------------------------------
 # the entry scanner on long lists with one perturbed record
 
@@ -533,7 +802,7 @@ SCAN_RECORDS = scan_records()
 # kind: (perturbed record from the record at the chosen position and another
 # record, whether the loader's scan takes the list, whether the encoder's does)
 PERTURBATIONS = {
-    "bool-idx": (lambda r, o: entry([True] + r["idx"][1:], r["val"]), True, False),
+    "bool-idx": (lambda r, o: entry([True] + r["idx"][1:], r["val"]), False, False),
     "float-idx": (lambda r, o: entry(r["idx"][:-1] + [1.0], r["val"]), False, False),
     "huge-idx": (lambda r, o: entry([2**70] + r["idx"][1:], r["val"]), False, False),
     "int-val": (lambda r, o: entry(r["idx"], 3), True, False),
